@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtpsv
 
 from .errors import CapacityError, SingularMatrixError, ValidationError
 from .kernels import KernelSpec, SampleSet, eval_kernel, validate_sample_set
@@ -89,26 +90,54 @@ def build_gram(spec: KernelSpec, s: SampleSet) -> GramMatrix:
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = a, or SingularMatrixError.
 
-    Column-by-column elimination so the failing pivot index is visible.
+    Row by row ("bordered"): row j is the forward solve
+    r = L[:j, :j]^-1 a[j, :j] followed by the pivot a[j, j] - r.r, so the
+    failing pivot index is visible.  Row j reads only a[j, :j+1] and the rows
+    before it, which makes the factorization prefix-consistent: the factor of
+    a[:n, :n] is bit for bit the leading n x n block of the factor of a, and
+    a singular a raises at the first index whose prefix fails on its own.
+    Nested-prefix probes rely on this to read every prefix off one factor.
+
+    Rows are stored packed, one after another, so every leading block is a
+    contiguous prefix of the buffer and each forward solve is one BLAS
+    packed triangular solve (dtpsv) without copying; the buffer has room for
+    the full matrix and is unpacked in place at the end.  A column-oriented
+    loop or LAPACK potrf is not prefix-consistent: its rounding depends on
+    the matrix order through row-count-sized or blocked BLAS kernels, so a
+    pivot near the floor can pass in the full matrix and fail in a prefix.
+    On the binomial Gram over 0..40, which is exactly Pascal Pascal^T with
+    unit pivots, a column loop passes pivot 29 as 64 while the 30-point
+    prefix alone fails there with -176; potrf (OpenBLAS) fails at 29 on
+    both, with pivots -56 and -176.
+
     No jitter is ever added; callers wanting Tikhonov damping must add it
     explicitly.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    lower = np.zeros_like(a)
+    # Row j of L is packed at buf[j(j+1)/2 : (j+1)(j+2)/2]; read column-wise,
+    # the packed rows are L^T packed as an upper triangle, hence trans=1.
+    # Row 0 has nothing to solve, and dtpsv rejects an empty vector.
+    buf = np.zeros(n * n)
     for j in range(n):
-        d = a[j, j] - lower[j, :j] @ lower[j, :j]
+        start = j * (j + 1) // 2
+        r = dtpsv(j, buf[:start], a[j, :j], trans=1) if j else a[j, :0]
+        d = a[j, j] - r @ r
         if not d > PIVOT_FLOOR:
             raise SingularMatrixError(
                 f"matrix is singular or indefinite: pivot {d:.3e} at index {j} "
                 f"(floor {PIVOT_FLOOR:.0e})",
                 pivot_index=j,
             )
-        ljj = math.sqrt(d)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / ljj
-    return lower
+        buf[start:start + j] = r
+        buf[start + j] = math.sqrt(d)
+    # Unpack in place, last row first: row j moves out to j*n, which lies
+    # past every row still packed before it, and its upper part is cleared.
+    for j in range(n - 1, -1, -1):
+        start = j * (j + 1) // 2
+        buf[j * n:j * n + j + 1] = buf[start:start + j + 1].copy()
+        buf[j * n + j + 1:(j + 1) * n] = 0.0
+    return buf.reshape(n, n)
 
 
 def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

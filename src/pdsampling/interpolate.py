@@ -224,9 +224,10 @@ def obstruction_probe(
     aug_w = w[:i0] + (1.0,) + w[i0:]
     targets = tuple(0.0 if k != i0 else float(y0) for k in range(len(aug)))
 
-    minimizer = ridge_interpolant(spec, aug, targets, alpha, aug_w)
+    # The ridge_interpolant solve, on the one Gram the objective also needs.
     g = build_gram(spec, aug)
-    c = np.asarray(minimizer.coefficients)
+    c = cholesky_solve(g.entries + np.diag(alpha / np.asarray(aug_w)), targets)
+    minimizer = CoefficientFunction(spec, aug, tuple(float(v) for v in c))
     u = g.entries @ c
     norm_sq = float(c @ u)
     value_at_t0 = float(u[i0])

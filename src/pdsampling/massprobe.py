@@ -11,16 +11,32 @@ function space with that norm, an unbounded one means it does not.  Brownian
 and bridge kernels stabilize after one extra neighbor (closed forms below);
 the binomial kernel diverges for every target, and the probe machinery is
 generic enough to report either behavior with the closed forms as oracles.
+
+Every prefix is read off one factorization.  The Cholesky factor L of the
+full Gram is prefix-consistent (gram.cholesky_factor), so L[:n, :n] is the
+factor of K_n and
+
+    q_n = sum_{k<n} (L^-1)_{k,x}^2,
+
+a cumulative sum over one column of L^-1: exactly 0 while the prefix does
+not reach x, exactly non-decreasing after.  The membership sequence
+f_n^T K_n^-1 f_n is likewise the cumulative sum of (L^-1 f)_k^2.  For the
+binomial kernel L is the Pascal matrix and L^-1 its signed inverse, so q_n
+is the closed form sum C(k,x)^2 term by term.  The float binomial Gram
+equals the exact one only over the points 0..28, since C(57,28) > 2^53; on
+0..N with N > 28 the factorization fails at pivot 29, probe_report ends the
+sequence after 29 entries with a diverging verdict, and closed_form still
+gives the sum for the requested prefix.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import SingularMatrixError, ValidationError
-from .gram import PIVOT_FLOOR, build_gram, cholesky_solve
-from .kernels import KernelSpec, SampleSet, binom, eval_kernel, validate_sample_set
+from .gram import build_gram, cholesky_factor
+from .kernels import KernelSpec, SampleSet, binom, validate_sample_set
 
 REL_INCREMENT_THRESHOLD = 1e-10
 VERDICT_WINDOW = 5
@@ -62,6 +78,39 @@ def _check_index(name: str, value, upper: int) -> int:
     return value
 
 
+def _check_n_max(n_max, v: SampleSet) -> int:
+    if isinstance(n_max, float) and n_max.is_integer():
+        n_max = int(n_max)
+    if not isinstance(n_max, int) or n_max < 1 or n_max > len(v):
+        raise ValidationError(f"n_max must be in [1, {len(v)}], got {n_max!r}")
+    return n_max
+
+
+def _probe_gram(spec: KernelSpec, v: SampleSet, x_index, n_max) -> tuple[np.ndarray, int]:
+    """Validated Gram entries over the first n_max points, and the target index."""
+    validate_sample_set(spec, v)
+    n_max = _check_n_max(n_max, v)
+    x_index = _check_index("x_index", x_index, n_max)
+    return build_gram(spec, v.prefix(n_max)).entries, x_index
+
+
+def _delta_norms(entries: np.ndarray, x_index: int) -> list[float]:
+    """q_1..q_n for the Gram entries, from one factorization.
+
+    w = L^-1 e_x vanishes above x; the entries before x are set to exactly 0
+    rather than read off w.  For x = 0 the n = 1 entry is the literal
+    reciprocal 1/K(x,x) rather than (1/L_00)^2, so the 1x1 inverse is exact.
+    """
+    lower = cholesky_factor(entries)
+    e = np.zeros(len(entries))
+    e[x_index] = 1.0
+    w = solve_triangular(lower, e, lower=True)[x_index:]
+    terms = w * w
+    if x_index == 0:
+        terms[0] = 1.0 / entries[0, 0]
+    return [0.0] * x_index + np.cumsum(terms).tolist()
+
+
 def projection_norm_sequence(
     spec: KernelSpec, v: SampleSet, x_index: int, n_max: int
 ) -> list[float]:
@@ -70,36 +119,11 @@ def projection_norm_sequence(
     Entry n-1 (prefix length n, n = 1..n_max) is the x-diagonal of the
     inverse Gram over the first n points.  While the prefix does not yet
     contain the target point the restricted functional is identically zero,
-    so those entries are exactly 0.  Each prefix is solved against the same
-    full Gram's leading principal submatrix.
+    so those entries are exactly 0.  All prefixes are read off the one
+    factorization of the n_max-point Gram (see the module docstring); a
+    singular prefix raises SingularMatrixError with its pivot index.
     """
-    validate_sample_set(spec, v)
-    if isinstance(n_max, float) and n_max.is_integer():
-        n_max = int(n_max)
-    if not isinstance(n_max, int) or n_max < 1 or n_max > len(v):
-        raise ValidationError(f"n_max must be in [1, {len(v)}], got {n_max!r}")
-    x_index = _check_index("x_index", x_index, n_max)
-    g = build_gram(spec, v.prefix(n_max))
-    norms = []
-    for n in range(1, n_max + 1):
-        if n <= x_index:
-            norms.append(0.0)
-            continue
-        if n == 1:
-            # 1x1 inverse, taken literally so the reciprocal is exact; the
-            # factorization's pivot floor still gates degenerate diagonals.
-            d = float(g.entries[0, 0])
-            if not d > PIVOT_FLOOR:
-                raise SingularMatrixError(
-                    f"1x1 Gram diagonal {d!r} at or below pivot floor", pivot_index=0
-                )
-            norms.append(1.0 / d)
-            continue
-        rhs = np.zeros(n)
-        rhs[x_index] = 1.0
-        z = cholesky_solve(g.entries[:n, :n], rhs)
-        norms.append(float(z[x_index]))
-    return norms
+    return _delta_norms(*_probe_gram(spec, v, x_index, n_max))
 
 
 def brownian_delta_norm_closed(v: SampleSet, i: int) -> float:
@@ -202,19 +226,13 @@ def membership_probe(spec: KernelSpec, v: SampleSet, f_values, n_max) -> list[fl
     the kernel space restricted to v, with squared norm at most that sup.
     """
     validate_sample_set(spec, v)
-    if isinstance(n_max, float) and n_max.is_integer():
-        n_max = int(n_max)
-    if not isinstance(n_max, int) or n_max < 1 or n_max > len(v):
-        raise ValidationError(f"n_max must be in [1, {len(v)}], got {n_max!r}")
+    n_max = _check_n_max(n_max, v)
     f = np.asarray([float(t) for t in f_values], dtype=float)
     if f.size < n_max:
         raise ValidationError(f"{f.size} sample values for prefix length {n_max}")
-    g = build_gram(spec, v.prefix(n_max))
-    out = []
-    for n in range(1, n_max + 1):
-        z = cholesky_solve(g.entries[:n, :n], f[:n])
-        out.append(float(f[:n] @ z))
-    return out
+    lower = build_gram(spec, v.prefix(n_max)).cholesky()
+    z = solve_triangular(lower, f[:n_max], lower=True)
+    return np.cumsum(z * z).tolist()
 
 
 def _auto_closed_form(spec: KernelSpec, v: SampleSet, x_index: int) -> float | None:
@@ -248,21 +266,19 @@ def probe_report(
         n_max = len(v)
     vp = v.prefix(n_max) if n_max <= len(v) else v
     closed = _auto_closed_form(spec, vp, x_index) if x_index < len(vp) else None
+    entries, x = _probe_gram(spec, v, x_index, n_max)
     try:
-        norms = projection_norm_sequence(spec, v, x_index, n_max)
+        norms = _delta_norms(entries, x)
     except SingularMatrixError as exc:
-        if exc.pivot_index is None or exc.pivot_index <= x_index:
+        j = exc.pivot_index
+        if j is None or j <= x:
             raise
-        truncated = projection_norm_sequence(spec, v, x_index, exc.pivot_index)
-        return MassProbeReport(
-            kernel=spec,
-            v_prefix=vp,
-            target_index=x_index,
-            norms=tuple(truncated),
-            verdict=Verdict(kind="diverging"),
-            closed_form=closed,
-        )
-    verdict = mass_verdict(norms, closed_form=closed)
+        # Prefix consistency: the leading j x j block is the factor of the
+        # j-point prefix, the longest one that factors.
+        norms = _delta_norms(entries[:j, :j], x)
+        verdict = Verdict(kind="diverging")
+    else:
+        verdict = mass_verdict(norms, closed_form=closed)
     return MassProbeReport(
         kernel=spec,
         v_prefix=vp,

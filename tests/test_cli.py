@@ -294,6 +294,27 @@ class TestMassProbe:
         assert doc["verdict"]["kind"] == "diverging"
         assert doc["norms"][-1] > 2.8e9
 
+    def test_binomial_truncation_matches_probe_report(self, capsys):
+        doc = run_json(
+            capsys,
+            "mass-probe",
+            "--kernel",
+            "binomial",
+            "--points",
+            "0..40",
+            "--target",
+            "6",
+        )
+        rep = pdsampling.probe_report(
+            pdsampling.KernelSpec.binomial(), pdsampling.SampleSet.of(range(41)), 6
+        )
+        assert len(doc["norms"]) == 29
+        assert doc["norms"] == list(rep.norms)
+        for n in range(7, 30):
+            exact = pdsampling.binomial_projection_norm_closed(6, n - 1)
+            assert abs(doc["norms"][n - 1] - exact) <= 1e-15 * exact
+        assert doc["verdict"]["kind"] == "diverging"
+
     def test_brownian_bounded(self, capsys):
         doc = run_json(
             capsys,

@@ -6,12 +6,14 @@ import pytest
 from pdsampling import (
     KernelSpec,
     SampleSet,
+    SingularMatrixError,
     ValidationError,
     binom,
     binomial_projection_norm_closed,
     bridge_delta_norm_closed,
     brownian_delta_norm_closed,
     build_gram,
+    cholesky_factor,
     cholesky_solve,
     mass_verdict,
     membership_probe,
@@ -242,6 +244,34 @@ class TestProbeReport:
         rep = probe_report(BM, s, 0)
         assert rep.verdict.kind == "diverging"
         assert len(rep.norms) < 4
+
+    def test_singular_first_prefix_raises(self):
+        s = SampleSet.of([1.0, 1.0 + 1e-14, 2.0])
+        with pytest.raises(SingularMatrixError) as info:
+            probe_report(BM, s, 1)
+        assert info.value.pivot_index == 1
+        with pytest.raises(SingularMatrixError) as info:
+            projection_norm_sequence(BM, SampleSet.of([1e-13, 1.0]), 0, 1)
+        assert info.value.pivot_index == 0
+
+    def test_binomial_0_40_truncates_at_first_rejected_prefix(self):
+        """The float Gram is exact over 0..28 only; every kept entry is the exact sum."""
+        s = SampleSet.of(list(range(41)))
+        entries = build_gram(BINOMIAL, s).entries
+        with pytest.raises(SingularMatrixError) as info:
+            cholesky_factor(entries)
+        j = info.value.pivot_index
+        assert j == 29
+        cholesky_factor(entries[:j, :j])
+        for x in range(10):
+            rep = probe_report(BINOMIAL, s, x)
+            assert len(rep.norms) == j
+            assert rep.norms[:x] == (0.0,) * x
+            for n in range(x + 1, j + 1):
+                exact = binomial_projection_norm_closed(x, n - 1)
+                assert abs(rep.norms[n - 1] - exact) <= 1e-15 * exact, (x, n)
+            assert rep.verdict.kind == "diverging"
+            assert rep.closed_form == float(binomial_projection_norm_closed(x, 40))
 
     def test_json_round_trip_fields(self):
         s = SampleSet.of([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
