@@ -22,7 +22,7 @@ import scipy.linalg
 from scipy.linalg.blas import dtpsv
 
 from .errors import CapacityError, SingularMatrixError, ValidationError
-from .kernels import KernelSpec, SampleSet, eval_kernel, validate_sample_set
+from .kernels import KernelSpec, SampleSet, kernel_values, validate_sample_set
 
 # Pivots at or below this are treated as a singular/indefinite factorization.
 # An absolute floor (rather than one relative to the diagonal) is deliberate:
@@ -70,21 +70,25 @@ class GramMatrix:
 
 
 def build_gram(spec: KernelSpec, s: SampleSet) -> GramMatrix:
-    """Full symmetric Gram matrix of the kernel over the sample set."""
-    validate_sample_set(spec, s)
-    n = len(s)
-    pts = s.points
-    if spec.kind == "binomial":
-        exact = tuple(
-            tuple(eval_kernel(spec, pts[i], pts[j]) for j in range(n)) for i in range(n)
-        )
-        entries = np.array(exact, dtype=float)
-        return GramMatrix(spec, s, entries, exact_entries=exact)
-    entries = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i, n):
-            entries[i, j] = entries[j, i] = eval_kernel(spec, pts[i], pts[j])
-    return GramMatrix(spec, s, entries)
+    """Full symmetric Gram matrix of the kernel over the sample set.
+
+    One block evaluation over the validated points; the kernels are
+    symmetric entry by entry (see kernels), so no triangle is mirrored here.
+    Binomial entries are kept exact in `exact_entries`; a binomial Gram with
+    an entry past the double range raises CapacityError.
+    """
+    a = validate_sample_set(spec, s)
+    values = kernel_values(spec, a[:, None], a[None, :])
+    if spec.kind != "binomial":
+        return GramMatrix(spec, s, values)
+    try:
+        entries = values.astype(float)
+    except OverflowError:
+        raise CapacityError(
+            f"binomial Gram over {len(s)} points has entries beyond the double range "
+            f"(largest C({2 * int(a[-1])}, {int(a[-1])}))"
+        ) from None
+    return GramMatrix(spec, s, entries, exact_entries=tuple(map(tuple, values.tolist())))
 
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:

@@ -5,14 +5,42 @@ The kernel zoo:
   sinc       K(s,t) = sin(pi(s-t)) / (pi(s-t)) on the whole real line
   brownian   K(s,t) = min(s,t) for s,t >= 0 (Brownian motion covariance)
   bridge     K(s,t) = min(s,t) - s*t on the open interval (0,1)
-  binomial   K(x,y) = sum_{n=0}^{min(x,y)} C(x,n) C(y,n) on the non-negative
-             integers, evaluated in exact integer arithmetic
+  binomial   K(x,y) = sum_{n=0}^{min(x,y)} C(x,n) C(y,n) = C(x+y, x) on the
+             non-negative integers (Vandermonde's identity), evaluated in
+             exact integer arithmetic
   tabulated  an explicit symmetric table over a finite point set, loaded
              from CSV
 
+Every kernel value the package computes comes from one block evaluator,
+kernel_matrix(spec, xs, ys), whose entry (i, j) is K(xs[i], ys[j]): a
+float64 array for the continuous and tabulated kernels, an object array of
+exact Python ints for the binomial kernel.  Gram matrices, interpolant rows,
+Parseval sums and the scalar eval_kernel (a 1x1 block) all go through it,
+so the scalar and block routes cannot drift apart.  Underneath it,
+domain_points checks a whole array of points at once and kernel_values
+evaluates K elementwise on checked, broadcast arrays; callers that reuse
+checked points (an interpolant evaluated at many t) call those two directly.
+
+The exact conventions hold entry by entry:
+
+  sinc       evaluated at |s - t|, so K(s,t) and K(t,s) are the same double
+             and every Gram is bit-symmetric; below SINC_GUARD the quadratic
+             Taylor term replaces the quotient, non-zero integer offsets give
+             exactly 0.0, and no 0/0 is ever formed
+  brownian   np.minimum(s, t); bridge np.minimum(s, t) - s*t, symmetric
+             because IEEE minimum and products are
+  binomial   math.comb(x + y, x), exact integers; a block with some
+             x + y > BINOMIAL_CAPACITY raises CapacityError before any
+             coefficient is computed
+  tabulated  read by fancy indexing from the table's value matrix, whose
+             lower triangle mirrors the upper one, so a table holding 0.0 on
+             one side and -0.0 on the other still gives bit-symmetric Grams
+
 Domain checks are strict: out-of-domain arguments raise DomainError rather
 than being clamped, since the closed-form identities downstream are only
-valid on the stated domains.
+valid on the stated domains.  A block is checked as a whole array; the first
+failing point, in order, is re-raised through check_domain, so a block and a
+scalar call report the same message.
 """
 
 import csv
@@ -21,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import CapacityError, DomainError, ValidationError
 
 KERNEL_KINDS = ("sinc", "brownian", "bridge", "binomial", "tabulated")
 
@@ -29,14 +57,22 @@ KERNEL_KINDS = ("sinc", "brownian", "bridge", "binomial", "tabulated")
 # the quadratic Taylor term keeps full double precision.
 SINC_GUARD = 1e-8
 
+# Largest x + y for which the binomial kernel computes C(x+y, x).  The
+# largest coefficient at the ceiling, C(10000, 5000), has 3009 decimal
+# digits: it is exact, takes milliseconds, and stays below the 4300-digit
+# limit Python puts on turning an int into text, so every value the kernel
+# returns can be reported.
+BINOMIAL_CAPACITY = 10_000
+
 
 @dataclass(frozen=True)
 class TabulatedTable:
     """Symmetric kernel values over a finite, strictly increasing point set.
 
-    The table is stored once per unordered pair: construction validates that
-    the supplied rows are exactly symmetric (zero absolute difference) and
-    keeps the mirrored upper triangle.
+    Construction checks once, on the whole array, that the supplied rows are
+    exactly symmetric (entries compare equal), then keeps the upper triangle
+    on both sides: `values` holds the mirrored rows.  Lookups go through a
+    point-to-index dict and one read-only float matrix, built here once.
     """
 
     points: tuple[float, ...]
@@ -53,37 +89,43 @@ class TabulatedTable:
             raise ValidationError("tabulated points must be strictly increasing")
         if len(self.values) != n or any(len(row) != n for row in self.values):
             raise ValidationError(f"tabulated table must be {n}x{n} to match its points")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.values[i][j] != self.values[j][i]:
-                    raise ValidationError(
-                        f"tabulated table must be exactly symmetric; "
-                        f"entries ({i},{j}) and ({j},{i}) differ"
-                    )
+        matrix = np.array(self.values, dtype=float)
+        differ = np.argwhere(np.triu(matrix != matrix.T, 1))
+        if differ.size:
+            i, j = differ[0].tolist()
+            raise ValidationError(
+                f"tabulated table must be exactly symmetric; "
+                f"entries ({i},{j}) and ({j},{i}) differ"
+            )
+        # 0.0 and -0.0 pass the check; the mirror makes them the same bits.
+        mirrored = np.where(np.tri(n, k=-1, dtype=bool), matrix.T, matrix)
+        if mirrored.tobytes() != matrix.tobytes():
+            object.__setattr__(self, "values", tuple(map(tuple, mirrored.tolist())))
+        mirrored.flags.writeable = False
+        object.__setattr__(self, "_matrix", mirrored)
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
     def index_of(self, t: float) -> int:
-        for i, p in enumerate(self.points):
-            if p == t:
-                return i
-        raise DomainError(f"point {t!r} is not in the tabulated point set")
+        try:
+            return self._index[t]
+        except KeyError:
+            raise DomainError(f"point {t!r} is not in the tabulated point set") from None
+
+    def lookup(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Table values at broadcast arrays of tabulated points."""
+        return self._matrix[self._indices(s), self._indices(t)]
+
+    def _indices(self, a: np.ndarray) -> np.ndarray:
+        index = self._index
+        return np.array([index[v] for v in a.ravel().tolist()], dtype=np.intp).reshape(a.shape)
 
     @classmethod
     def from_rows(cls, points, rows, source=None) -> "TabulatedTable":
-        pts = tuple(float(p) for p in points)
-        n = len(pts)
-        body = [[float(v) for v in row] for row in rows]
-        if len(body) != n or any(len(r) != n for r in body):
-            raise ValidationError(f"tabulated table must be {n}x{n} to match its points")
-        # mirror the upper triangle after the symmetry check in __post_init__
-        for i in range(n):
-            for j in range(i):
-                if body[i][j] != body[j][i]:
-                    raise ValidationError(
-                        f"tabulated table must be exactly symmetric; "
-                        f"entries ({i},{j}) and ({j},{i}) differ"
-                    )
-                body[i][j] = body[j][i]
-        return cls(points=pts, values=tuple(tuple(r) for r in body), source=source)
+        return cls(
+            points=tuple(float(p) for p in points),
+            values=tuple(tuple(float(v) for v in row) for row in rows),
+            source=source,
+        )
 
     @classmethod
     def from_csv(cls, path: str) -> "TabulatedTable":
@@ -210,16 +252,39 @@ def check_domain(spec: KernelSpec, t: float) -> None:
     # sinc: any finite real
 
 
-def validate_sample_set(spec: KernelSpec, s: SampleSet) -> None:
-    """Check every point of s against the kernel's domain.
+def domain_points(spec: KernelSpec, xs) -> np.ndarray:
+    """The points xs as a float64 array, each checked against the kernel's domain.
+
+    The checks of check_domain run on the whole array at once; the first
+    failing point is then passed to check_domain itself, which raises its
+    usual DomainError.
+    """
+    a = np.asarray(xs, dtype=float)
+    bad = ~np.isfinite(a)
+    if spec.kind == "brownian":
+        bad |= a < 0
+    elif spec.kind == "bridge":
+        bad |= ~((a > 0) & (a < 1))
+    elif spec.kind == "binomial":
+        bad |= (a < 0) | (a != np.floor(a))
+    elif spec.kind == "tabulated":
+        index = spec.table._index
+        bad |= np.array([v not in index for v in a.tolist()], dtype=bool)
+    if bad.any():
+        check_domain(spec, xs[int(np.argmax(bad))])
+    return a
+
+
+def validate_sample_set(spec: KernelSpec, s: SampleSet) -> np.ndarray:
+    """Check every point of s against the kernel's domain; return them as an array.
 
     Brownian motion additionally requires strictly positive points: the point
     0 makes every Gram containing it singular (its kernel section vanishes).
     """
-    for p in s.points:
-        check_domain(spec, p)
+    a = domain_points(spec, s.points)
     if spec.kind == "brownian" and s.points[0] <= 0:
         raise DomainError("brownian sample sets require strictly positive points")
+    return a
 
 
 def binom(x: int, n: int) -> int:
@@ -245,52 +310,93 @@ def _as_nonneg_int(v, name: str) -> int:
     return v
 
 
+def _sinc_of_distance(d: np.ndarray) -> np.ndarray:
+    """sin(pi d)/(pi d) elementwise for distances d >= 0, conventions as sinc_pi.
+
+    d is used as scratch space, so a large block needs one more array of
+    its size and a few boolean masks.
+    """
+    small = d < SINC_GUARD
+    zeros = ~small & (d == np.floor(d))
+    taylor = 1.0 - (np.pi * d[small]) ** 2 / 6.0
+    d *= np.pi
+    values = np.sin(d)
+    # No quotient is formed below the guard, so no 0/0 at zero distance.
+    np.divide(values, d, out=values, where=~small)
+    values[small] = taylor
+    values[zeros] = 0.0
+    return values
+
+
 def sinc_pi(x: float) -> float:
     """sin(pi x)/(pi x) with the removable singularity filled in near 0.
 
     Nonzero integer arguments return 0.0 exactly: those are true zeros of
     the function, and library sin(pi*k) would leave ~1e-16 residue that a
-    Gram over integer nodes should not carry.
+    Gram over integer nodes should not carry.  This is the sinc kernel at
+    (x, 0), so x must be finite.
     """
-    if abs(x) < SINC_GUARD:
-        return 1.0 - (math.pi * x) ** 2 / 6.0
-    if float(x).is_integer():
-        return 0.0
-    px = math.pi * x
-    return math.sin(px) / px
+    return eval_kernel(KernelSpec.sinc(), x, 0.0)
+
+
+def kernel_values(spec: KernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """K(s, t) elementwise over broadcast arrays of points, without domain checks.
+
+    s and t come from domain_points.  Shapes (n, 1) and (1, m) give the
+    n x m block, equal shapes the pairs (s[i], t[i]).  The result is a new
+    array that the caller may overwrite.
+    """
+    if spec.kind == "brownian":
+        return np.minimum(s, t)
+    if spec.kind == "bridge":
+        values = np.minimum(s, t)
+        values -= s * t
+        return values
+    if spec.kind == "sinc":
+        d = s - t
+        return _sinc_of_distance(np.abs(d, out=d))
+    if spec.kind == "tabulated":
+        return spec.table.lookup(s, t)
+    top = s + t
+    if top.size and top.max() > BINOMIAL_CAPACITY:
+        raise CapacityError(
+            f"binomial kernel argument sum x + y = {top.max():.0f} exceeds the "
+            f"documented capacity {BINOMIAL_CAPACITY}"
+        )
+    # The int64 -> object cast yields Python ints, so every C(x+y, x) is exact.
+    comb = np.frompyfunc(math.comb, 2, 1)
+    return comb(top.astype(np.int64).astype(object), s.astype(np.int64).astype(object))
+
+
+def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
+    """The block K(xs[i], ys[j]) over two sequences of points.
+
+    float64 for the continuous and tabulated kernels, an object array of
+    exact Python ints for the binomial kernel.  Both point sequences are
+    checked against the kernel's domain first, xs before ys.
+    """
+    a = domain_points(spec, xs)
+    b = domain_points(spec, ys)
+    return kernel_values(spec, a[:, None], b[None, :])
 
 
 def eval_kernel(spec: KernelSpec, s: float, t: float):
     """Evaluate K(s, t). Exact integer for the binomial kernel, float otherwise.
 
-    Symmetric in (s, t) bit-for-bit; out-of-domain arguments raise DomainError.
+    The 1x1 block of kernel_matrix, so symmetric in (s, t) bit-for-bit;
+    out-of-domain arguments raise DomainError.
     """
     if spec.kind == "binomial":
-        xi = _as_nonneg_int(s, "s")
-        yi = _as_nonneg_int(t, "t")
-        return sum(math.comb(xi, n) * math.comb(yi, n) for n in range(min(xi, yi) + 1))
-    check_domain(spec, s)
-    check_domain(spec, t)
-    if spec.kind == "sinc":
-        return sinc_pi(s - t)
-    if spec.kind == "brownian":
-        return float(min(s, t))
-    if spec.kind == "bridge":
-        return min(s, t) - s * t
-    # tabulated
-    return spec.table.values[spec.table.index_of(float(s))][spec.table.index_of(float(t))]
+        s, t = _as_nonneg_int(s, "s"), _as_nonneg_int(t, "t")
+    return kernel_matrix(spec, (s,), (t,)).item()
 
 
 def check_positive_definite(spec: KernelSpec, s: SampleSet, tol: float):
     """Smallest Gram eigenvalue over s and the flag (min_eigenvalue >= -tol).
 
-    Pure diagnostic: builds the Gram locally, never caches anything.
+    Pure diagnostic: evaluates the Gram block locally, never caches anything.
     """
-    validate_sample_set(spec, s)
-    n = len(s)
-    g = np.empty((n, n), dtype=float)
-    for i, p in enumerate(s.points):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = float(eval_kernel(spec, p, s.points[j]))
+    a = validate_sample_set(spec, s)
+    g = np.asarray(kernel_values(spec, a[:, None], a[None, :]), dtype=float)
     min_eig = float(np.linalg.eigvalsh(g)[0])
     return (min_eig >= -tol, min_eig)

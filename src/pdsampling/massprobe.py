@@ -86,12 +86,11 @@ def _check_n_max(n_max, v: SampleSet) -> int:
     return n_max
 
 
-def _probe_gram(spec: KernelSpec, v: SampleSet, x_index, n_max) -> tuple[np.ndarray, int]:
-    """Validated Gram entries over the first n_max points, and the target index."""
+def _probe_prefix(spec: KernelSpec, v: SampleSet, x_index, n_max) -> tuple[SampleSet, int]:
+    """The validated first n_max points and the validated target index."""
     validate_sample_set(spec, v)
     n_max = _check_n_max(n_max, v)
-    x_index = _check_index("x_index", x_index, n_max)
-    return build_gram(spec, v.prefix(n_max)).entries, x_index
+    return v.prefix(n_max), _check_index("x_index", x_index, n_max)
 
 
 def _delta_norms(entries: np.ndarray, x_index: int) -> list[float]:
@@ -123,7 +122,8 @@ def projection_norm_sequence(
     factorization of the n_max-point Gram (see the module docstring); a
     singular prefix raises SingularMatrixError with its pivot index.
     """
-    return _delta_norms(*_probe_gram(spec, v, x_index, n_max))
+    vp, x = _probe_prefix(spec, v, x_index, n_max)
+    return _delta_norms(build_gram(spec, vp).entries, x)
 
 
 def brownian_delta_norm_closed(v: SampleSet, i: int) -> float:
@@ -264,9 +264,11 @@ def probe_report(
     """
     if n_max is None:
         n_max = len(v)
-    vp = v.prefix(n_max) if n_max <= len(v) else v
-    closed = _auto_closed_form(spec, vp, x_index) if x_index < len(vp) else None
-    entries, x = _probe_gram(spec, v, x_index, n_max)
+    # Inputs are checked before the closed form runs, so a bad target is
+    # reported as x_index rather than by the oracle's own argument check.
+    vp, x = _probe_prefix(spec, v, x_index, n_max)
+    closed = _auto_closed_form(spec, vp, x)
+    entries = build_gram(spec, vp).entries
     try:
         norms = _delta_norms(entries, x)
     except SingularMatrixError as exc:
@@ -282,7 +284,7 @@ def probe_report(
     return MassProbeReport(
         kernel=spec,
         v_prefix=vp,
-        target_index=x_index,
+        target_index=x,
         norms=tuple(norms),
         verdict=verdict,
         closed_form=closed,

@@ -76,6 +76,22 @@ class TestKernelEval:
         assert msg["error"] == "validation"
         assert "\n" not in err.strip()
 
+    def test_binomial_past_capacity_exits_two(self, capsys, monkeypatch):
+        # The capacity is checked before any coefficient is computed.
+        def refuse(*args):
+            raise AssertionError("math.comb called past the capacity")
+
+        monkeypatch.setattr(math, "comb", refuse)
+        code, out, err = run(
+            capsys, "kernel-eval", "--kernel", "binomial", "--s", "8000", "--t", "8000"
+        )
+        assert code == 2
+        assert out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "numerical"
+        assert "capacity" in msg["message"]
+        assert err.count("\n") == 1
+
 
 class TestGram:
     def test_brownian_det_pair(self, capsys):
@@ -349,6 +365,23 @@ class TestMassProbe:
         lines = target.read_text().strip().split("\n")
         assert lines[0].startswith("# schema_version=1 ")
         assert lines[1] == "1,1.0"
+
+    @pytest.mark.parametrize("target", ["-1", "10"])
+    def test_bad_target_names_x_index(self, capsys, target):
+        code, out, err = run(
+            capsys,
+            "mass-probe",
+            "--kernel",
+            "brownian",
+            "--points",
+            "1..10",
+            "--target",
+            target,
+        )
+        assert code == 1
+        msg = json.loads(err)
+        assert msg["error"] == "validation"
+        assert msg["message"] == f"x_index must be an integer in [0, 10), got {target}"
 
 
 class TestSimulate:
