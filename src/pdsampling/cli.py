@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int
 from .frames import frame_report_json, parseval_defect, reconstruct
 from .gram import build_gram, gram_report, gram_to_csv
 from .interpolate import (
@@ -30,7 +30,7 @@ from .interpolate import (
     ridge_interpolant,
     spline_interpolant,
 )
-from .kernels import KernelSpec, SampleSet, eval_kernel, parse_kernel
+from .kernels import SampleSet, eval_kernel, parse_kernel
 from .massprobe import probe_report, probe_to_csv, report_json
 from .simulate import (
     empirical_covariance,
@@ -122,10 +122,6 @@ def _parse_values(text: str) -> list[float]:
         return [v for row in _read_numeric_csv(text) for v in row]
 
 
-def _sample_set(values) -> SampleSet:
-    return SampleSet.of(values)
-
-
 def _resolve_out(out: str | None) -> str | None:
     if out is None or out == "-":
         return None
@@ -149,7 +145,11 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_json(payload: dict, config: dict, out: str | None) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "config": config}
     doc.update(payload)
-    _emit(json.dumps(doc, indent=2) + "\n", out)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite number: {exc}") from None
+    _emit(text + "\n", out)
 
 
 def _csv_header(config: dict) -> str:
@@ -188,7 +188,7 @@ def _cmd_gram(args) -> int:
     spec = parse_kernel(args.kernel)
     fmt = _check_format(args.format, ("json", "csv"))
     points = parse_point_text(args.points)
-    g = build_gram(spec, _sample_set(points))
+    g = build_gram(spec, SampleSet.of(points))
     config = {
         "command": "gram",
         "kernel": spec.to_text(),
@@ -208,15 +208,14 @@ def _cmd_frame_check(args) -> int:
     if (args.points is None) == (args.integers is None):
         raise ValidationError("give exactly one of --points or --integers")
     if args.integers is not None:
-        if args.integers < 1:
-            raise ValidationError("--integers radius must be >= 1")
-        points = [float(v) for v in range(-args.integers, args.integers + 1)]
+        radius = check_int("--integers radius", args.integers, 1)
+        points = [float(v) for v in range(-radius, radius + 1)]
     else:
         points = parse_point_text(args.points)
     grid = parse_point_text(args.grid)
     report = parseval_defect(
         spec,
-        _sample_set(points),
+        SampleSet.of(points),
         grid,
         tail_budget=args.tail_budget,
         include_bounds=args.bounds,
@@ -240,7 +239,7 @@ def _cmd_reconstruct(args) -> int:
     spec = parse_kernel(args.kernel)
     points = parse_point_text(args.points)
     samples = _parse_values(args.samples)
-    s = _sample_set(points)
+    s = SampleSet.of(points)
     if len(samples) != len(s):
         raise ValidationError(f"{len(samples)} samples for {len(s)} sample points")
     value = reconstruct(spec, s, samples, args.t)
@@ -273,7 +272,7 @@ def _interp_inputs(args) -> tuple[list[float], list[float]]:
 
 def _cmd_interpolate(args) -> int:
     points, values = _interp_inputs(args)
-    s = _sample_set(points)
+    s = SampleSet.of(points)
     if len(values) != len(s):
         raise ValidationError(f"{len(values)} values for {len(s)} points")
     if args.spline:
@@ -337,7 +336,7 @@ def _cmd_interpolate(args) -> int:
 def _cmd_obstruct(args) -> int:
     spec = parse_kernel(args.kernel)
     points = parse_point_text(args.points)
-    s = _sample_set(points)
+    s = SampleSet.of(points)
     weights = _parse_values(args.weights) if args.weights is not None else None
     result = obstruction_probe(spec, s, args.t0, args.y0, args.alpha, weights)
     config = {
@@ -371,7 +370,7 @@ def _cmd_mass_probe(args) -> int:
     spec = parse_kernel(args.kernel)
     fmt = _check_format(args.format, ("json", "csv"))
     points = parse_point_text(args.points)
-    v = _sample_set(points)
+    v = SampleSet.of(points)
     n_max = args.n_max if args.n_max is not None else len(v)
     report = probe_report(spec, v, args.target, n_max)
     config = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .gram import GramMatrix, build_gram, solve_spd
+from .gram import GramMatrix, build_gram, cholesky_solve
 from .kernels import (
     KernelSpec,
     SampleSet,
@@ -191,7 +191,7 @@ def dual_frame_coefficients(spec: KernelSpec, s: SampleSet, samples) -> Coeffici
     (to solver accuracy), since the sample map composed with synthesis acts
     as the Gram matrix on coefficients.
     """
-    c = solve_spd(build_gram(spec, s), samples)
+    c = cholesky_solve(build_gram(spec, s).entries, samples)
     return synthesis(spec, s, c)
 
 

@@ -12,6 +12,12 @@ code path:
 
 Continuous kernels live in IEEE doubles; binomial Gram entries are exact
 Python integers, converted to doubles only at the linear-algebra boundary.
+
+One pipeline serves every solve: build_gram, then cholesky_factor (cached
+per GramMatrix by cholesky()), then cholesky_solve, the package's only SPD
+solve, or substitutions read directly off the factor by the probes.  det_lu
+is None, and reports carry "det_lu": null, when the LU pivot product leaves
+the double range, as it does for the binomial Gram over 0..100.
 """
 
 import math
@@ -21,7 +27,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtpsv
 
-from .errors import CapacityError, SingularMatrixError, ValidationError
+from .errors import CapacityError, SingularMatrixError, ValidationError, check_int
 from .kernels import KernelSpec, SampleSet, kernel_values, validate_sample_set
 
 # Pivots at or below this are treated as a singular/indefinite factorization.
@@ -144,33 +150,34 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     return buf.reshape(n, n)
 
 
-def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ v = rhs for SPD a via fresh factorization plus substitution."""
+def cholesky_solve(a: np.ndarray, rhs) -> np.ndarray:
+    """Solve a @ v = rhs for SPD a: one factorization, then two substitutions.
+
+    The package's one SPD solve; rhs must hold one entry per row of a.
+    """
+    a = np.asarray(a, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (a.shape[0],):
+        raise ValidationError(f"rhs length {rhs.shape} does not match Gram order {a.shape[0]}")
     lower = cholesky_factor(a)
-    return _substitute(lower, rhs)
-
-
-def _substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    y = scipy.linalg.solve_triangular(lower, np.asarray(rhs, dtype=float), lower=True)
+    y = scipy.linalg.solve_triangular(lower, rhs, lower=True)
     return scipy.linalg.solve_triangular(lower.T, y, lower=False)
 
 
-def solve_spd(g: GramMatrix, rhs) -> np.ndarray:
-    """Solve G v = rhs through the cached SPD triangular factorization."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (g.order,):
-        raise ValidationError(f"rhs length {rhs.shape} does not match Gram order {g.order}")
-    return _substitute(g.cholesky(), rhs)
+def det_lu(matrix) -> float | None:
+    """Determinant via partial-pivot LU; the dense oracle side of the closed forms.
 
-
-def det_lu(matrix) -> float:
-    """Determinant via partial-pivot LU; the dense oracle side of the closed forms."""
+    None when the product of the LU pivots is not a finite double (the
+    binomial Gram over 0..100, whose determinant is exactly 1, overflows).
+    """
     if isinstance(matrix, GramMatrix):
         matrix = matrix.entries
     a = np.asarray(matrix, dtype=float)
     lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     sign = 1.0 if np.count_nonzero(piv != np.arange(a.shape[0])) % 2 == 0 else -1.0
-    return sign * float(np.prod(np.diag(lu)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = sign * float(np.prod(np.diag(lu)))
+    return det if math.isfinite(det) else None
 
 
 def det_brownian_closed(s: SampleSet) -> float:
@@ -201,23 +208,13 @@ class PascalMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-def _check_pascal_order(n) -> int:
-    if isinstance(n, float):
-        if not n.is_integer():
-            raise ValidationError(f"order must be a non-negative integer, got {n!r}")
-        n = int(n)
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError(f"order must be a non-negative integer, got {n!r}")
+def pascal_lower(n: int) -> PascalMatrix:
+    """(n+1) x (n+1) lower-triangular Pascal matrix as exact integers."""
+    n = check_int("order", n, 0)
     if n > PASCAL_CAPACITY:
         raise CapacityError(
             f"order {n} exceeds the documented Pascal capacity ceiling {PASCAL_CAPACITY}"
         )
-    return n
-
-
-def pascal_lower(n: int) -> PascalMatrix:
-    """(n+1) x (n+1) lower-triangular Pascal matrix as exact integers."""
-    n = _check_pascal_order(n)
     rows = tuple(
         tuple(math.comb(x, y) if y <= x else 0 for y in range(n + 1)) for x in range(n + 1)
     )
@@ -226,10 +223,10 @@ def pascal_lower(n: int) -> PascalMatrix:
 
 def pascal_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     """Exact inverse of pascal_lower(n): entry (x, y) = (-1)^(x-y) C(x, y)."""
-    n = _check_pascal_order(n)
+    low = pascal_lower(n).entries
     return tuple(
-        tuple((-1) ** (x - y) * math.comb(x, y) if y <= x else 0 for y in range(n + 1))
-        for x in range(n + 1)
+        tuple(c if (x - y) % 2 == 0 else -c for y, c in enumerate(row))
+        for x, row in enumerate(low)
     )
 
 
@@ -240,7 +237,7 @@ def binomial_gram_inverse_exact(n: int) -> tuple[tuple[int, ...], ...]:
     diagonal entry at x is sum_{k=x}^{n} C(k,x)^2.
     """
     linv = pascal_inverse(n)
-    m = n + 1
+    m = len(linv)
     return tuple(
         tuple(sum(linv[k][x] * linv[k][y] for k in range(max(x, y), m)) for y in range(m))
         for x in range(m)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .frames import CoefficientFunction
-from .gram import build_gram, cholesky_solve, solve_spd
+from .gram import build_gram, cholesky_solve
 from .kernels import KernelSpec, SampleSet, check_domain
 
 
@@ -143,13 +143,34 @@ def sawtooth_energy_closed(s: SampleSet, slopes=None) -> float:
     return math.fsum(slopes[i] ** 2 * (pts[i + 1] - pts[i]) for i in range(n_teeth))
 
 
+def _ridge_solve(entries: np.ndarray, y, alpha: float, weights, probe_index=None):
+    """Coefficients c of (G + diag(alpha / w)) c = y, and the validated weights.
+
+    weights holds one strictly positive value per sample point, all ones
+    when None.  With probe_index set, that row of G belongs to the
+    obstruction probe point, which is not a sample point and carries weight
+    1 in the solve.
+    """
+    n = len(entries) if probe_index is None else len(entries) - 1
+    if weights is None:
+        w = np.ones(n)
+    else:
+        w = np.asarray([float(v) for v in weights], dtype=float)
+        if w.shape != (n,):
+            raise ValidationError(f"{w.size} weights for {n} sample points")
+        if not np.all(w > 0.0):
+            raise ValidationError("weights must be strictly positive")
+    penalty = w if probe_index is None else np.insert(w, probe_index, 1.0)
+    return cholesky_solve(entries + np.diag(alpha / penalty), y), w
+
+
 def ridge_interpolant(
     spec: KernelSpec, s: SampleSet, y, alpha: float, weights=None
 ) -> CoefficientFunction:
     """Kernel ridge coefficients: solve (alpha W^-1 + G) c = y.
 
     W = diag(weights), all-ones by default.  alpha = 0 gives exact
-    interpolation through the plain Gram solve.
+    interpolation: the same solve, with a zero diagonal added.
     """
     alpha = float(alpha)
     if not alpha >= 0.0:
@@ -157,19 +178,7 @@ def ridge_interpolant(
     y = np.asarray([float(v) for v in y], dtype=float)
     if y.shape != (len(s),):
         raise ValidationError(f"{y.size} targets for {len(s)} sample points")
-    if weights is None:
-        w = np.ones(len(s))
-    else:
-        w = np.asarray([float(v) for v in weights], dtype=float)
-        if w.shape != (len(s),):
-            raise ValidationError(f"{w.size} weights for {len(s)} sample points")
-        if not np.all(w > 0.0):
-            raise ValidationError("weights must be strictly positive")
-    g = build_gram(spec, s)
-    if alpha == 0.0:
-        c = solve_spd(g, y)
-    else:
-        c = cholesky_solve(g.entries + np.diag(alpha / w), y)
+    c, _ = _ridge_solve(build_gram(spec, s).entries, y, alpha, weights)
     return CoefficientFunction(spec, s, tuple(float(v) for v in c))
 
 
@@ -209,24 +218,15 @@ def obstruction_probe(
     check_domain(spec, t0)
     if t0 in s.points:
         raise ValidationError(f"probe point {t0} already belongs to the sample set")
-    if weights is None:
-        w = tuple(1.0 for _ in s.points)
-    else:
-        w = tuple(float(v) for v in weights)
-        if len(w) != len(s):
-            raise ValidationError(f"{len(w)} weights for {len(s)} sample points")
-        if not all(v > 0.0 for v in w):
-            raise ValidationError("weights must be strictly positive")
 
     i0 = bisect_left(s.points, t0)
-    aug_points = s.points[:i0] + (t0,) + s.points[i0:]
-    aug = SampleSet.of(aug_points)
-    aug_w = w[:i0] + (1.0,) + w[i0:]
+    aug = SampleSet.of(s.points[:i0] + (t0,) + s.points[i0:])
     targets = tuple(0.0 if k != i0 else float(y0) for k in range(len(aug)))
 
     # The ridge_interpolant solve, on the one Gram the objective also needs.
     g = build_gram(spec, aug)
-    c = cholesky_solve(g.entries + np.diag(alpha / np.asarray(aug_w)), targets)
+    c, w = _ridge_solve(g.entries, targets, alpha, weights, probe_index=i0)
+    w = tuple(w.tolist())
     minimizer = CoefficientFunction(spec, aug, tuple(float(v) for v in c))
     u = g.entries @ c
     norm_sq = float(c @ u)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError
+from .errors import CapacityError, DomainError, ValidationError, check_int
 
 KERNEL_KINDS = ("sinc", "brownian", "bridge", "binomial", "tabulated")
 
@@ -294,20 +294,10 @@ def binom(x: int, n: int) -> int:
     capacity ceiling applies here (the Pascal matrix builders enforce their
     own documented order ceiling).
     """
-    x, n = _as_nonneg_int(x, "x"), _as_nonneg_int(n, "n")
+    x, n = check_int("x", x, 0, error=DomainError), check_int("n", n, 0, error=DomainError)
     if n > x:
         return 0
     return math.comb(x, n)
-
-
-def _as_nonneg_int(v, name: str) -> int:
-    if isinstance(v, float):
-        if not v.is_integer():
-            raise DomainError(f"{name} must be a non-negative integer, got {v!r}")
-        v = int(v)
-    if not isinstance(v, int) or v < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {v!r}")
-    return v
 
 
 def _sinc_of_distance(d: np.ndarray) -> np.ndarray:
@@ -386,8 +376,6 @@ def eval_kernel(spec: KernelSpec, s: float, t: float):
     The 1x1 block of kernel_matrix, so symmetric in (s, t) bit-for-bit;
     out-of-domain arguments raise DomainError.
     """
-    if spec.kind == "binomial":
-        s, t = _as_nonneg_int(s, "s"), _as_nonneg_int(t, "t")
     return kernel_matrix(spec, (s,), (t,)).item()
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import SingularMatrixError, ValidationError, check_int
 from .gram import build_gram, cholesky_factor
 from .kernels import KernelSpec, SampleSet, binom, validate_sample_set
 
@@ -68,29 +68,11 @@ class MassProbeReport:
     closed_form: float | None
 
 
-def _check_index(name: str, value, upper: int) -> int:
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
-    if not isinstance(value, int) or value < 0 or value >= upper:
-        raise ValidationError(f"{name} must be an integer in [0, {upper}), got {value!r}")
-    return value
-
-
-def _check_n_max(n_max, v: SampleSet) -> int:
-    if isinstance(n_max, float) and n_max.is_integer():
-        n_max = int(n_max)
-    if not isinstance(n_max, int) or n_max < 1 or n_max > len(v):
-        raise ValidationError(f"n_max must be in [1, {len(v)}], got {n_max!r}")
-    return n_max
-
-
 def _probe_prefix(spec: KernelSpec, v: SampleSet, x_index, n_max) -> tuple[SampleSet, int]:
     """The validated first n_max points and the validated target index."""
     validate_sample_set(spec, v)
-    n_max = _check_n_max(n_max, v)
-    return v.prefix(n_max), _check_index("x_index", x_index, n_max)
+    n_max = check_int("n_max", n_max, 1, len(v) + 1)
+    return v.prefix(n_max), check_int("x_index", x_index, 0, n_max)
 
 
 def _delta_norms(entries: np.ndarray, x_index: int) -> list[float]:
@@ -135,7 +117,7 @@ def brownian_delta_norm_closed(v: SampleSet, i: int) -> float:
     """
     validate_sample_set(KernelSpec.brownian(), v)
     n = len(v)
-    i = _check_index("i", i, n)
+    i = check_int("i", i, 0, n)
     pts = v.points
     if i == n - 1:
         raise ValidationError(
@@ -154,7 +136,7 @@ def bridge_delta_norm_closed(v: SampleSet, i: int) -> float:
     """
     validate_sample_set(KernelSpec.bridge(), v)
     n = len(v)
-    i = _check_index("i", i, n)
+    i = check_int("i", i, 0, n)
     if i == 0 or i == n - 1:
         raise ValidationError(f"index {i} needs neighbors on both sides")
     pts = v.points
@@ -167,14 +149,8 @@ def binomial_projection_norm_closed(x: int, n: int) -> int:
     Strictly increasing in n without bound: under the binomial kernel no
     point evaluation has finite mass.
     """
-    if isinstance(x, float) and x.is_integer():
-        x = int(x)
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if not isinstance(x, int) or x < 0:
-        raise ValidationError(f"target must be a non-negative integer, got {x!r}")
-    if not isinstance(n, int) or n < x:
-        raise ValidationError(f"depth must be an integer >= {x}, got {n!r}")
+    x = check_int("target", x, 0)
+    n = check_int("depth", n, x)
     return sum(binom(k, x) ** 2 for k in range(x, n + 1))
 
 
@@ -226,7 +202,7 @@ def membership_probe(spec: KernelSpec, v: SampleSet, f_values, n_max) -> list[fl
     the kernel space restricted to v, with squared norm at most that sup.
     """
     validate_sample_set(spec, v)
-    n_max = _check_n_max(n_max, v)
+    n_max = check_int("n_max", n_max, 1, len(v) + 1)
     f = np.asarray([float(t) for t in f_values], dtype=float)
     if f.size < n_max:
         raise ValidationError(f"{f.size} sample values for prefix length {n_max}")

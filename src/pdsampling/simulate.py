@@ -21,7 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError, check_int
+
+# Capacity ceilings, checked before anything of their size is allocated.  The
+# largest ensemble of the acceptance checks, 20,000 paths on a 65-point grid
+# at depth 10, holds 133,120 basis entries and 1.3e6 path entries.
+# Entries of the dense basis matrix, len(grid) * 2^(depth+1): 128 MiB of doubles.
+MAX_BASIS_ENTRIES = 2**24
+# Paths per ensemble; each path holds its own seed substream (about 380 bytes).
+MAX_PATHS = 2**20
+# Entries of the path matrix, n_paths * len(grid): 128 MiB of doubles.
+MAX_PATH_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -59,20 +69,6 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
-def _check_counts(n_paths, basis_depth, seed) -> tuple[int, int, int]:
-    if not isinstance(n_paths, int) or n_paths < 1:
-        raise ValidationError(f"n_paths must be a positive integer, got {n_paths!r}")
-    if not isinstance(basis_depth, int) or basis_depth < 0:
-        raise ValidationError(
-            f"basis_depth must be a non-negative integer, got {basis_depth!r}"
-        )
-    if not isinstance(seed, int) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if basis_depth > 24:
-        raise ValidationError(f"basis_depth {basis_depth} is unreasonably large")
-    return n_paths, basis_depth, seed
-
-
 def basis_size(basis_depth: int) -> int:
     """Number of basis functions: the constant plus levels 0..depth."""
     return 2 ** (basis_depth + 1)
@@ -84,21 +80,32 @@ def haar_antiderivative_matrix(grid, basis_depth: int) -> np.ndarray:
     Column 0 integrates the constant function (a straight ramp t).  The
     wavelet at level j, offset k is +2^(j/2) on the left half of its support
     and -2^(j/2) on the right half, so its antiderivative is the exact
-    triangular ramp below, zero outside the support.
+    triangular ramp below, zero outside the support; each level is one
+    block of 2^j columns.
     """
     g = _check_grid(grid)
-    cols = [g.copy()]
+    basis_depth = check_int("basis_depth", basis_depth, 0)
+    # The shift keeps the test cheap for any depth: the bound holds exactly
+    # when len(grid) <= floor(MAX_BASIS_ENTRIES / 2^(depth+1)).
+    if g.size > MAX_BASIS_ENTRIES >> (basis_depth + 1):
+        raise CapacityError(
+            f"basis of depth {basis_depth} on {g.size} grid points exceeds the "
+            f"documented capacity of {MAX_BASIS_ENTRIES} entries"
+        )
+    t = g[:, None]
+    blocks = [t]
     for j in range(basis_depth + 1):
-        scale = 2.0 ** (j / 2.0)
         width = 2.0**-j
-        for k in range(2**j):
-            a = k * width
-            m = a + width / 2.0
-            b = a + width
-            up = np.clip(g, a, m) - a
-            down = np.clip(g, m, b) - m
-            cols.append(scale * (up - down))
-    return np.column_stack(cols)
+        a = np.arange(2**j) * width
+        m = a + width / 2.0
+        up = np.clip(t, a, m)
+        up -= a
+        down = np.clip(t, m, a + width)
+        down -= m
+        up -= down
+        up *= 2.0 ** (j / 2.0)
+        blocks.append(up)
+    return np.column_stack(blocks)
 
 
 def truncated_variance(grid, basis_depth: int) -> np.ndarray:
@@ -131,8 +138,15 @@ def simulate_brownian(grid, n_paths: int, basis_depth: int, seed: int) -> PathEn
     with serial bit-for-bit.
     """
     g = _check_grid(grid)
-    n_paths, basis_depth, seed = _check_counts(n_paths, basis_depth, seed)
+    n_paths = check_int("n_paths", n_paths, 1)
+    seed = check_int("seed", seed, 0)
+    if n_paths > MAX_PATHS or n_paths * g.size > MAX_PATH_ENTRIES:
+        raise CapacityError(
+            f"{n_paths} paths on {g.size} grid points exceed the documented capacity "
+            f"of {MAX_PATHS} paths and {MAX_PATH_ENTRIES} path entries"
+        )
     phi = haar_antiderivative_matrix(g, basis_depth)
+    basis_depth = int(basis_depth)  # integral: haar_antiderivative_matrix checked it
     n_basis = basis_size(basis_depth)
     children = np.random.SeedSequence(seed).spawn(n_paths)
     paths = np.empty((n_paths, g.size), dtype=float)
@@ -183,11 +197,8 @@ def empirical_covariance(e: PathEnsemble, s_index: int, t_index: int) -> tuple[f
     if n < 2:
         raise ValidationError("covariance needs at least two paths")
     cols = e.paths.shape[1]
-    for name, idx in (("s_index", s_index), ("t_index", t_index)):
-        if not isinstance(idx, int) or not -cols <= idx < cols:
-            raise ValidationError(f"{name} {idx!r} out of range for {cols} grid points")
-    x = e.paths[:, s_index]
-    y = e.paths[:, t_index]
+    x = e.paths[:, check_int("s_index", s_index, -cols, cols)]
+    y = e.paths[:, check_int("t_index", t_index, -cols, cols)]
     dx = x - x.mean()
     dy = y - y.mean()
     products = dx * dy

@@ -131,6 +131,32 @@ class TestGram:
         assert code == 1
         assert json.loads(err)["error"] == "validation"
 
+    def test_overflowing_determinant_is_null(self, capsys):
+        # The binomial Gram over 0..100 has determinant 1, but its LU pivot
+        # product overflows a double; the report stays strict JSON.
+        code, out, err = run(capsys, "gram", "--kernel", "binomial", "--points", "0..100")
+        assert code == 0
+        assert err == ""
+
+        def refuse(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["det_lu"] is None
+        assert doc["order"] == 101
+
+
+class TestStrictJson:
+    def test_non_finite_report_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(pdsampling.cli, "eval_kernel", lambda spec, s, t: math.nan)
+        code, out, err = run(
+            capsys, "kernel-eval", "--kernel", "brownian", "--s", "1", "--t", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "numerical"
+
 
 class TestFrameCheck:
     def test_integer_truncation_with_tail(self, capsys):
@@ -179,6 +205,14 @@ class TestFrameCheck:
             "0.25",
         )
         assert code == 1
+
+    def test_integers_radius_must_be_positive(self, capsys):
+        code, out, err = run(
+            capsys, "frame-check", "--kernel", "sinc", "--integers", "0", "--grid", "0.25"
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["message"] == "--integers radius must be an integer >= 1, got 0"
 
 
 class TestReconstruct:
@@ -385,6 +419,34 @@ class TestMassProbe:
 
 
 class TestSimulate:
+    def test_depth_past_capacity_exits_two(self, capsys, monkeypatch):
+        # The basis size is checked before any basis column is computed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("basis built past the capacity")
+
+        monkeypatch.setattr(np, "clip", refuse)
+        monkeypatch.setattr(np, "column_stack", refuse)
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--kernel",
+            "bridge",
+            "--grid",
+            "0:1:0.25",
+            "--paths",
+            "3",
+            "--depth",
+            "24",
+            "--seed",
+            "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        msg = json.loads(err)
+        assert msg["error"] == "numerical"
+        assert "capacity" in msg["message"]
+
     def test_csv_paths(self, capsys):
         code, out, err = run(
             capsys,

@@ -12,6 +12,7 @@ from pdsampling import (
     binomial_gram_inverse,
     binomial_gram_inverse_exact,
     build_gram,
+    cholesky_solve,
     det_bridge_closed,
     det_brownian_closed,
     det_lu,
@@ -19,7 +20,6 @@ from pdsampling import (
     gram_report,
     pascal_inverse,
     pascal_lower,
-    solve_spd,
 )
 from pdsampling.gram import cholesky_factor, gram_to_csv
 
@@ -78,7 +78,7 @@ class TestBuildGram:
 class TestSolveSpd:
     def test_two_point_inverse_column(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0]))
-        v = solve_spd(g, [1.0, 0.0])
+        v = cholesky_solve(g.entries, [1.0, 0.0])
         np.testing.assert_allclose(v, [2.0, -1.0], atol=1e-14)
 
     def test_identity_gram_echoes_rhs(self):
@@ -86,18 +86,18 @@ class TestSolveSpd:
         for k in range(3):
             e = np.zeros(3)
             e[k] = 1.0
-            np.testing.assert_array_equal(solve_spd(g, e), e)
+            np.testing.assert_array_equal(cholesky_solve(g.entries, e), e)
 
     def test_near_duplicate_points_singular(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 1.0 + 1e-14]))
         with pytest.raises(SingularMatrixError) as info:
-            solve_spd(g, [1.0, 0.0])
+            cholesky_solve(g.entries, [1.0, 0.0])
         assert info.value.pivot_index == 1
 
     def test_rhs_length_checked(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0]))
         with pytest.raises(ValidationError):
-            solve_spd(g, [1.0, 2.0, 3.0])
+            cholesky_solve(g.entries, [1.0, 2.0, 3.0])
 
     def test_residual_small_on_random_systems(self):
         rng = np.random.default_rng(17)
@@ -105,7 +105,7 @@ class TestSolveSpd:
             s = random_increasing(rng, 10, 0.5, 20.0)
             g = build_gram(KernelSpec.brownian(), s)
             rhs = rng.standard_normal(10)
-            v = solve_spd(g, rhs)
+            v = cholesky_solve(g.entries, rhs)
             resid = np.max(np.abs(g.entries @ v - rhs))
             assert resid <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 

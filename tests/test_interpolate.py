@@ -12,6 +12,7 @@ from pdsampling import (
     ValidationError,
     analysis,
     build_gram,
+    cholesky_solve,
     cm_norm_sq,
     obstruction_probe,
     ridge_interpolant,
@@ -166,6 +167,25 @@ class TestRidge:
             ridge_interpolant(BM, s, [1.0, 1.0], alpha=0.1, weights=[1.0])
         with pytest.raises(ValidationError):
             ridge_interpolant(BM, s, [1.0, 1.0], alpha=0.1, weights=[1.0, 0.0])
+
+
+    @pytest.mark.parametrize("kind", ["brownian", "bridge", "sinc"])
+    def test_alpha_zero_is_the_plain_gram_solve(self, kind):
+        # Exact interpolation takes the ridge path with a zero diagonal
+        # added; its coefficients are the plain Gram solve's, bit for bit.
+        rng = np.random.default_rng(48)
+        for _ in range(20):
+            n = int(rng.integers(2, 49))
+            if kind == "sinc":
+                x = np.arange(n) + rng.uniform(-0.2, 0.2, n)
+            else:
+                x = (np.arange(1, n + 1) + rng.uniform(-0.3, 0.3, n)) / (n + 1)
+            s = SampleSet.of(x)
+            y = rng.standard_normal(n)
+            spec = KernelSpec(kind)
+            got = np.asarray(ridge_interpolant(spec, s, y, 0.0).coefficients)
+            want = cholesky_solve(build_gram(spec, s).entries, y)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestObstructionProbe:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdsampling import (
+    CapacityError,
     PathEnsemble,
     ValidationError,
     empirical_covariance,
@@ -15,7 +16,13 @@ from pdsampling import (
     truncated_variance,
 )
 from pdsampling import KernelSpec
-from pdsampling.simulate import basis_size, ensemble_to_csv
+from pdsampling.simulate import (
+    MAX_BASIS_ENTRIES,
+    MAX_PATH_ENTRIES,
+    MAX_PATHS,
+    basis_size,
+    ensemble_to_csv,
+)
 
 GRID_65 = np.linspace(0.0, 1.0, 65)
 
@@ -24,6 +31,30 @@ class TestBasis:
     def test_size_doubles_with_depth(self):
         assert basis_size(0) == 2
         assert basis_size(3) == 16
+
+    def test_matches_column_loop(self):
+        # The basis is built one level at a time; the same arithmetic, one
+        # column at a time, is the reference and must agree bit for bit.
+        def column_loop(g, depth):
+            cols = [g.copy()]
+            for j in range(depth + 1):
+                scale = 2.0 ** (j / 2.0)
+                width = 2.0**-j
+                for k in range(2**j):
+                    a = k * width
+                    m = a + width / 2.0
+                    up = np.clip(g, a, m) - a
+                    down = np.clip(g, m, a + width) - m
+                    cols.append(scale * (up - down))
+            return np.column_stack(cols)
+
+        rng = np.random.default_rng(3)
+        grids = [GRID_65, np.sort(rng.uniform(0.0, 1.0, 40)), np.array([1.0])]
+        for g in grids:
+            for depth in (0, 1, 4, 8):
+                got = haar_antiderivative_matrix(g, depth)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == column_loop(g, depth).tobytes()
 
     def test_antiderivatives_start_at_zero(self):
         phi = haar_antiderivative_matrix(GRID_65, 4)
@@ -184,3 +215,54 @@ class TestEnsembleContainer:
         assert len(lines) == 3
         row = [float(v) for v in lines[1].split(",")]
         np.testing.assert_array_equal(row, e.paths[0])
+
+
+class TestCapacity:
+    """Each ceiling fires before anything of its size is allocated.
+
+    The allocating calls are replaced by ones that fail the test, so an
+    oversize input is never run even if a check is missing.
+    """
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past a capacity check")
+
+        monkeypatch.setattr(np, "clip", refuse)
+        monkeypatch.setattr(np, "column_stack", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+
+    def test_basis_depth(self, no_allocation):
+        with pytest.raises(CapacityError):
+            haar_antiderivative_matrix([0.5], 24)
+        with pytest.raises(CapacityError):
+            haar_antiderivative_matrix(GRID_65, 10**9)
+        with pytest.raises(CapacityError):
+            simulate_brownian(GRID_65, 5, 24, seed=1)
+        with pytest.raises(CapacityError):
+            truncated_covariance(GRID_65, 24)
+
+    def test_basis_entries_at_the_ceiling_pass(self, no_allocation):
+        # 1 point x 2^24 columns is exactly the ceiling: the check passes
+        # and the build starts, which the fixture stops.
+        assert MAX_BASIS_ENTRIES == 2**24
+        with pytest.raises(AssertionError, match="allocated"):
+            haar_antiderivative_matrix([0.5], 23)
+        with pytest.raises(CapacityError):
+            haar_antiderivative_matrix([0.25, 0.5], 23)
+
+    def test_path_count(self, no_allocation):
+        with pytest.raises(CapacityError):
+            simulate_brownian([0.5], MAX_PATHS + 1, 2, seed=1)
+        with pytest.raises(CapacityError):
+            simulate_bridge([0.5], MAX_PATHS + 1, 2, seed=1)
+
+    def test_path_entries(self, no_allocation):
+        n_paths = MAX_PATH_ENTRIES // 65 + 1
+        assert n_paths <= MAX_PATHS
+        with pytest.raises(CapacityError):
+            simulate_brownian(GRID_65, n_paths, 2, seed=1)
+        # The bridge adds t = 1 to a grid without it: 64 + 1 points.
+        with pytest.raises(CapacityError):
+            simulate_bridge(GRID_65[:-1], n_paths, 2, seed=1)
