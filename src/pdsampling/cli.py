@@ -10,6 +10,9 @@ object on stderr.
 Point syntax: `a..b` is an inclusive integer range, `start:stop:step` a real
 grid (the step must tile the interval exactly), `v1,v2,...` an inline list,
 a bare number a singleton, and anything else is read as a numeric CSV file.
+The path of an existing file is read as a file before any of the other
+syntaxes is tried, so a relative path such as `../pts.csv` is not taken
+for an integer range.
 """
 
 import argparse
@@ -77,6 +80,8 @@ def parse_point_text(text: str) -> list[float]:
     text = text.strip()
     if not text:
         raise ValidationError("empty point expression")
+    if os.path.isfile(text):
+        return [v for row in _read_numeric_csv(text) for v in row]
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -303,6 +308,7 @@ def _cmd_interpolate(args) -> int:
         return 0
     if args.kernel is None:
         raise ValidationError("ridge interpolation needs --kernel (or use --spline)")
+    fmt = _check_format(args.format, ("json",))
     spec = parse_kernel(args.kernel)
     weights = _parse_values(args.weights) if args.weights is not None else None
     f = ridge_interpolant(spec, s, values, args.alpha, weights)
@@ -318,7 +324,7 @@ def _cmd_interpolate(args) -> int:
         "values": values,
         "alpha": args.alpha,
         "weights": weights,
-        "format": "json",
+        "format": fmt,
         "out": args.out,
     }
     _emit_json(

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .gram import GramMatrix, build_gram, cholesky_solve
-from .kernels import (
-    KernelSpec,
-    SampleSet,
-    domain_points,
-    kernel_values,
-    validate_sample_set,
-)
+from .gram import GramMatrix, build_gram, cholesky_factor, cholesky_solve
+from .kernels import KernelSpec, SampleSet, check_domain, kernel_values, validate_sample_set
 
 
 @dataclass(frozen=True)
@@ -65,11 +59,11 @@ class CoefficientFunction:
                 f"{len(self.coefficients)} coefficients for "
                 f"{len(self.sample_set)} sample points"
             )
-        object.__setattr__(self, "_nodes", domain_points(self.spec, self.sample_set.points))
+        object.__setattr__(self, "_nodes", check_domain(self.spec, self.sample_set.points))
         object.__setattr__(self, "_weights", np.asarray(self.coefficients, dtype=float))
 
     def __call__(self, t: float) -> float:
-        row = kernel_values(self.spec, domain_points(self.spec, (t,)), self._nodes)
+        row = kernel_values(self.spec, check_domain(self.spec, t), self._nodes)
         return math.fsum((self._weights * row).tolist())
 
 
@@ -88,7 +82,7 @@ def synthesis(spec: KernelSpec, s: SampleSet, coefficients) -> CoefficientFuncti
 def _bounds_of(g: GramMatrix) -> tuple[float, float]:
     # The factorization is the package-wide singularity gate (pivot floor,
     # index payload); run it before the eigensolve.
-    g.cholesky()
+    cholesky_factor(g.entries)
     eigs = np.linalg.eigvalsh(g.entries)
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0.0:
@@ -110,16 +104,25 @@ def frame_bounds_truncated(spec: KernelSpec, s: SampleSet) -> tuple[float, float
     return _bounds_of(build_gram(spec, s))
 
 
+def _integer_range(s: SampleSet) -> tuple[int, int] | None:
+    """(lo, hi) when s is exactly the integers lo, lo+1, ..., hi, else None."""
+    pts = s.points
+    if not all(float(p).is_integer() for p in pts):
+        return None
+    lo, hi = int(pts[0]), int(pts[-1])
+    return (lo, hi) if len(pts) == hi - lo + 1 else None
+
+
 def _sinc_integer_tail(s: SampleSet, grid) -> float | None:
     """Analytic truncation tail for integer sinc sampling, else None.
 
     With samples covering the integers of [-N, N] and |t| < N, the discarded
     diagonal mass sum_{|s|>N} K(t,s)^2 is below 2 / (pi^2 (N - max|t|)).
     """
-    pts = s.points
-    if not all(float(p).is_integer() for p in pts):
+    span = _integer_range(s)
+    if span is None:
         return None
-    n_eff = min(-pts[0], pts[-1])
+    n_eff = min(-span[0], span[1])
     t_max = max(abs(float(t)) for t in grid)
     if n_eff <= t_max:
         return None
@@ -146,8 +149,8 @@ def parseval_defect(
     grid = [float(t) for t in grid]
     if not grid:
         raise ValidationError("probe grid must contain at least one point")
-    g = domain_points(spec, grid)
-    block = kernel_values(spec, g[:, None], domain_points(spec, s.points)[None, :])
+    g = check_domain(spec, grid)
+    block = kernel_values(spec, g[:, None], check_domain(spec, s.points)[None, :])
     block *= block
     total = block.sum(axis=1)
     defect = float(np.max(np.abs(kernel_values(spec, g, g) - total)))
@@ -201,16 +204,11 @@ def frame_report_json(report: FrameReport) -> dict:
     "N" is the symmetric integer radius when the sample set is exactly the
     integers of [-N, N]; otherwise it is the sample count.
     """
-    pts = report.truncation.points
-    if (
-        all(float(p).is_integer() for p in pts)
-        and pts[0] < 0 < pts[-1]
-        and -pts[0] == pts[-1]
-        and len(pts) == int(pts[-1] - pts[0]) + 1
-    ):
-        n = int(pts[-1])
+    span = _integer_range(report.truncation)
+    if span is not None and span[0] < 0 and span[0] == -span[1]:
+        n = span[1]
     else:
-        n = len(pts)
+        n = len(report.truncation)
     return {
         "a": report.lower_bound,
         "b": report.upper_bound,

@@ -13,11 +13,13 @@ code path:
 Continuous kernels live in IEEE doubles; binomial Gram entries are exact
 Python integers, converted to doubles only at the linear-algebra boundary.
 
-One pipeline serves every solve: build_gram, then cholesky_factor (cached
-per GramMatrix by cholesky()), then cholesky_solve, the package's only SPD
-solve, or substitutions read directly off the factor by the probes.  det_lu
-is None, and reports carry "det_lu": null, when the LU pivot product leaves
-the double range, as it does for the binomial Gram over 0..100.
+One pipeline serves every solve: build_gram, the one Gram build, whose
+entries come from kernels.kernel_values on points checked by
+kernels.check_domain; then cholesky_factor, the one route to a factor; then
+cholesky_solve, the package's only SPD solve, or substitutions read directly
+off the factor by the probes.  det_lu is None, and reports carry
+"det_lu": null, when the LU pivot product leaves the double range, as it
+does for the binomial Gram over 0..100.
 """
 
 import math
@@ -49,9 +51,7 @@ class GramMatrix:
 
     `entries` is the float64 form used by all linear algebra and is frozen
     (non-writeable).  For the binomial kernel `exact_entries` additionally
-    holds the same matrix as exact integers.  The Cholesky factor is cached
-    on first use; recomputation is idempotent, so the lazy cache is safe
-    under concurrent readers.
+    holds the same matrix as exact integers.
     """
 
     spec: KernelSpec
@@ -61,18 +61,10 @@ class GramMatrix:
 
     def __post_init__(self):
         self.entries.flags.writeable = False
-        object.__setattr__(self, "_chol", None)
 
     @property
     def order(self) -> int:
         return self.entries.shape[0]
-
-    def cholesky(self) -> np.ndarray:
-        cached = object.__getattribute__(self, "_chol")
-        if cached is None:
-            cached = cholesky_factor(self.entries)
-            object.__setattr__(self, "_chol", cached)
-        return cached
 
 
 def build_gram(spec: KernelSpec, s: SampleSet) -> GramMatrix:
@@ -95,6 +87,15 @@ def build_gram(spec: KernelSpec, s: SampleSet) -> GramMatrix:
             f"(largest C({2 * int(a[-1])}, {int(a[-1])}))"
         ) from None
     return GramMatrix(spec, s, entries, exact_entries=tuple(map(tuple, values.tolist())))
+
+
+def check_positive_definite(spec: KernelSpec, s: SampleSet, tol: float):
+    """Smallest Gram eigenvalue over s and the flag (min_eigenvalue >= -tol).
+
+    Pure diagnostic on the entries of build_gram; nothing is cached.
+    """
+    min_eig = float(np.linalg.eigvalsh(build_gram(spec, s).entries)[0])
+    return (min_eig >= -tol, min_eig)
 
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
@@ -153,12 +154,14 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
 def cholesky_solve(a: np.ndarray, rhs) -> np.ndarray:
     """Solve a @ v = rhs for SPD a: one factorization, then two substitutions.
 
-    The package's one SPD solve; rhs must hold one entry per row of a.
+    The package's one SPD solve; rhs must hold one finite entry per row of a.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (a.shape[0],):
         raise ValidationError(f"rhs length {rhs.shape} does not match Gram order {a.shape[0]}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValidationError("right-hand side must be finite")
     lower = cholesky_factor(a)
     y = scipy.linalg.solve_triangular(lower, rhs, lower=True)
     return scipy.linalg.solve_triangular(lower.T, y, lower=False)

@@ -173,8 +173,8 @@ def ridge_interpolant(
     interpolation: the same solve, with a zero diagonal added.
     """
     alpha = float(alpha)
-    if not alpha >= 0.0:
-        raise ValidationError(f"alpha must be non-negative, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and non-negative, got {alpha}")
     y = np.asarray([float(v) for v in y], dtype=float)
     if y.shape != (len(s),):
         raise ValidationError(f"{y.size} targets for {len(s)} sample points")
@@ -213,8 +213,8 @@ def obstruction_probe(
     """
     t0 = float(t0)
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValidationError(f"alpha must be strictly positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and strictly positive, got {alpha}")
     check_domain(spec, t0)
     if t0 in s.points:
         raise ValidationError(f"probe point {t0} already belongs to the sample set")

@@ -11,15 +11,15 @@ The kernel zoo:
   tabulated  an explicit symmetric table over a finite point set, loaded
              from CSV
 
-Every kernel value the package computes comes from one block evaluator,
-kernel_matrix(spec, xs, ys), whose entry (i, j) is K(xs[i], ys[j]): a
-float64 array for the continuous and tabulated kernels, an object array of
-exact Python ints for the binomial kernel.  Gram matrices, interpolant rows,
-Parseval sums and the scalar eval_kernel (a 1x1 block) all go through it,
-so the scalar and block routes cannot drift apart.  Underneath it,
-domain_points checks a whole array of points at once and kernel_values
-evaluates K elementwise on checked, broadcast arrays; callers that reuse
-checked points (an interpolant evaluated at many t) call those two directly.
+Every kernel value the package computes comes from one evaluator,
+kernel_values(spec, s, t), which evaluates K elementwise on broadcast arrays
+of checked points: a float64 array for the continuous and tabulated kernels,
+an object array of exact Python ints for the binomial kernel.  Every point
+is checked by one domain rule, check_domain(spec, xs), which takes a point or
+a sequence of points and returns them as a checked float64 array.  Gram
+matrices, interpolant rows and Parseval sums call the two directly;
+kernel_matrix(spec, xs, ys) is the block K(xs[i], ys[j]) and the scalar
+eval_kernel its 1x1 block, so the scalar and block routes cannot drift apart.
 
 The exact conventions hold entry by entry:
 
@@ -38,9 +38,9 @@ The exact conventions hold entry by entry:
 
 Domain checks are strict: out-of-domain arguments raise DomainError rather
 than being clamped, since the closed-form identities downstream are only
-valid on the stated domains.  A block is checked as a whole array; the first
-failing point, in order, is re-raised through check_domain, so a block and a
-scalar call report the same message.
+valid on the stated domains.  Points are checked as a whole array and the
+first failing point, in order, is the one reported, so a block and a scalar
+call report the same message.
 """
 
 import csv
@@ -104,12 +104,6 @@ class TabulatedTable:
         mirrored.flags.writeable = False
         object.__setattr__(self, "_matrix", mirrored)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
-
-    def index_of(self, t: float) -> int:
-        try:
-            return self._index[t]
-        except KeyError:
-            raise DomainError(f"point {t!r} is not in the tabulated point set") from None
 
     def lookup(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Table values at broadcast arrays of tabulated points."""
@@ -234,44 +228,34 @@ class SampleSet:
         return np.asarray(self.points, dtype=float)
 
 
-def check_domain(spec: KernelSpec, t: float) -> None:
-    """Raise DomainError unless t is a legal argument for the kernel."""
-    if not math.isfinite(t):
-        raise DomainError(f"kernel argument must be finite, got {t!r}")
-    if spec.kind == "brownian":
-        if t < 0:
-            raise DomainError(f"brownian kernel requires arguments >= 0, got {t!r}")
-    elif spec.kind == "bridge":
-        if not 0 < t < 1:
-            raise DomainError(f"bridge kernel requires arguments in the open (0,1), got {t!r}")
-    elif spec.kind == "binomial":
-        if t < 0 or t != int(t):
-            raise DomainError(f"binomial kernel requires non-negative integer arguments, got {t!r}")
-    elif spec.kind == "tabulated":
-        spec.table.index_of(float(t))
-    # sinc: any finite real
+def check_domain(spec: KernelSpec, xs) -> np.ndarray:
+    """The point or points xs as a float64 array, each checked against the kernel's domain.
 
-
-def domain_points(spec: KernelSpec, xs) -> np.ndarray:
-    """The points xs as a float64 array, each checked against the kernel's domain.
-
-    The checks of check_domain run on the whole array at once; the first
-    failing point is then passed to check_domain itself, which raises its
-    usual DomainError.
+    The checks run on the whole array at once; the first failing point, in
+    order, raises DomainError naming its original value.
     """
     a = np.asarray(xs, dtype=float)
-    bad = ~np.isfinite(a)
+    finite = np.isfinite(a)
     if spec.kind == "brownian":
-        bad |= a < 0
+        ok, rule = a >= 0, "brownian kernel requires arguments >= 0, got {!r}"
     elif spec.kind == "bridge":
-        bad |= ~((a > 0) & (a < 1))
+        ok, rule = (a > 0) & (a < 1), "bridge kernel requires arguments in the open (0,1), got {!r}"
     elif spec.kind == "binomial":
-        bad |= (a < 0) | (a != np.floor(a))
+        ok = (a >= 0) & (a == np.floor(a))
+        rule = "binomial kernel requires non-negative integer arguments, got {!r}"
     elif spec.kind == "tabulated":
         index = spec.table._index
-        bad |= np.array([v not in index for v in a.tolist()], dtype=bool)
+        ok = np.array([v in index for v in a.ravel().tolist()], dtype=bool).reshape(a.shape)
+        rule = "point {!r} is not in the tabulated point set"
+    else:  # sinc: any finite real
+        ok, rule = finite, None
+    bad = ~(finite & ok)
     if bad.any():
-        check_domain(spec, xs[int(np.argmax(bad))])
+        i = int(np.argmax(bad))
+        t = xs if a.ndim == 0 else xs[i]
+        if not finite.flat[i]:
+            raise DomainError(f"kernel argument must be finite, got {t!r}")
+        raise DomainError(rule.format(float(t) if spec.kind == "tabulated" else t))
     return a
 
 
@@ -281,7 +265,7 @@ def validate_sample_set(spec: KernelSpec, s: SampleSet) -> np.ndarray:
     Brownian motion additionally requires strictly positive points: the point
     0 makes every Gram containing it singular (its kernel section vanishes).
     """
-    a = domain_points(spec, s.points)
+    a = check_domain(spec, s.points)
     if spec.kind == "brownian" and s.points[0] <= 0:
         raise DomainError("brownian sample sets require strictly positive points")
     return a
@@ -332,7 +316,7 @@ def sinc_pi(x: float) -> float:
 def kernel_values(spec: KernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """K(s, t) elementwise over broadcast arrays of points, without domain checks.
 
-    s and t come from domain_points.  Shapes (n, 1) and (1, m) give the
+    s and t come from check_domain.  Shapes (n, 1) and (1, m) give the
     n x m block, equal shapes the pairs (s[i], t[i]).  The result is a new
     array that the caller may overwrite.
     """
@@ -365,8 +349,8 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     exact Python ints for the binomial kernel.  Both point sequences are
     checked against the kernel's domain first, xs before ys.
     """
-    a = domain_points(spec, xs)
-    b = domain_points(spec, ys)
+    a = check_domain(spec, xs)
+    b = check_domain(spec, ys)
     return kernel_values(spec, a[:, None], b[None, :])
 
 
@@ -378,13 +362,3 @@ def eval_kernel(spec: KernelSpec, s: float, t: float):
     """
     return kernel_matrix(spec, (s,), (t,)).item()
 
-
-def check_positive_definite(spec: KernelSpec, s: SampleSet, tol: float):
-    """Smallest Gram eigenvalue over s and the flag (min_eigenvalue >= -tol).
-
-    Pure diagnostic: evaluates the Gram block locally, never caches anything.
-    """
-    a = validate_sample_set(spec, s)
-    g = np.asarray(kernel_values(spec, a[:, None], a[None, :]), dtype=float)
-    min_eig = float(np.linalg.eigvalsh(g)[0])
-    return (min_eig >= -tol, min_eig)

@@ -154,20 +154,15 @@ def binomial_projection_norm_closed(x: int, n: int) -> int:
     return sum(binom(k, x) ** 2 for k in range(x, n + 1))
 
 
-def mass_verdict(
-    norms,
-    closed_form: float | None = None,
-    rel_increment_threshold: float = REL_INCREMENT_THRESHOLD,
-    window: int = VERDICT_WINDOW,
-) -> Verdict:
+def mass_verdict(norms, closed_form: float | None = None) -> Verdict:
     """Classify a non-decreasing probe sequence by its tail behavior.
 
-    Looks at the last `window` terms.  All relative increments at or below
-    the threshold (and agreement with the closed form when one is supplied)
-    is bounded.  Diverging means the window is strictly growing at every
-    step and multiplies by at least the geometric divergence factor across
-    the window.  Anything else, including a sequence shorter than the
-    window, is inconclusive.
+    Looks at the last VERDICT_WINDOW terms.  All relative increments at or
+    below REL_INCREMENT_THRESHOLD (and agreement with the closed form when
+    one is supplied) is bounded.  Diverging means the window is strictly
+    growing at every step and multiplies by at least the geometric
+    divergence factor across the window.  Anything else, including a
+    sequence shorter than the window, is inconclusive.
     """
     norms = [float(v) for v in norms]
     for a, b in zip(norms, norms[1:]):
@@ -175,11 +170,11 @@ def mass_verdict(
             raise ValidationError(
                 f"probe sequence must be non-decreasing, saw {a!r} then {b!r}"
             )
-    if len(norms) < window:
+    if len(norms) < VERDICT_WINDOW:
         return Verdict(kind="inconclusive")
-    tail = norms[-window:]
+    tail = norms[-VERDICT_WINDOW:]
     increments_small = all(
-        b - a <= rel_increment_threshold * max(1.0, abs(a))
+        b - a <= REL_INCREMENT_THRESHOLD * max(1.0, abs(a))
         for a, b in zip(tail, tail[1:])
     )
     if increments_small:
@@ -206,7 +201,7 @@ def membership_probe(spec: KernelSpec, v: SampleSet, f_values, n_max) -> list[fl
     f = np.asarray([float(t) for t in f_values], dtype=float)
     if f.size < n_max:
         raise ValidationError(f"{f.size} sample values for prefix length {n_max}")
-    lower = build_gram(spec, v.prefix(n_max)).cholesky()
+    lower = cholesky_factor(build_gram(spec, v.prefix(n_max)).entries)
     z = solve_triangular(lower, f[:n_max], lower=True)
     return np.cumsum(z * z).tolist()
 

@@ -50,6 +50,14 @@ class TestPointText:
         path.write_text("# comment\n1.0\n2.0\n")
         assert parse_point_text(str(path)) == [1.0, 2.0]
 
+    def test_relative_path_with_dot_dot_is_a_file(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "pts.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        assert parse_point_text("../pts.csv") == [1.0, 2.0]
+        doc = run_json(capsys, "gram", "--kernel", "brownian", "--points", "../pts.csv")
+        assert doc["points"] == [1.0, 2.0]
+
 
 class TestKernelEval:
     def test_brownian_value(self, capsys):
@@ -206,6 +214,23 @@ class TestFrameCheck:
         )
         assert code == 1
 
+    def test_gapped_integers_have_no_tail_certificate(self, capsys):
+        code, out, err = run(
+            capsys,
+            "frame-check",
+            "--kernel",
+            "sinc",
+            "--points=-10,0,10",
+            "--grid",
+            "0.5",
+            "--tail-budget",
+            "0.1",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "validation"
+
     def test_integers_radius_must_be_positive(self, capsys):
         code, out, err = run(
             capsys, "frame-check", "--kernel", "sinc", "--integers", "0", "--grid", "0.25"
@@ -295,6 +320,24 @@ class TestInterpolate:
         np.testing.assert_allclose(doc["coefficients"], [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(doc["node_residuals"], [0.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["xml", "csv"])
+    def test_ridge_rejects_other_formats(self, capsys, fmt):
+        code, out, err = run(
+            capsys,
+            "interpolate",
+            "--kernel",
+            "brownian",
+            "--points",
+            "0.1,0.2",
+            "--values",
+            "1,2",
+            "--format",
+            fmt,
+        )
+        assert code == 1
+        assert out == ""
+        assert "unsupported format" in json.loads(err)["message"]
+
     def test_data_file_replaces_inline_pairs(self, capsys, tmp_path):
         data = tmp_path / "xy.csv"
         data.write_text("1.0,0.0\n2.0,1.0\n")
@@ -327,6 +370,28 @@ class TestObstruct:
             + (doc["value_at_t0"] - 1.0) ** 2
         )
         assert rebuilt <= doc["minimum_value"]
+
+
+class TestNonFiniteNumbers:
+    BROWNIAN = ("--kernel", "brownian", "--points", "0.1,0.2,0.3")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("interpolate", *BROWNIAN, "--values", "1,2,3", "--alpha", "inf"),
+            ("interpolate", *BROWNIAN, "--values", "1,inf,3"),
+            ("interpolate", *BROWNIAN, "--values", "1,nan,3", "--alpha", "1"),
+            ("obstruct", *BROWNIAN, "--t0", "0.15", "--y0", "inf", "--alpha", "1"),
+            ("obstruct", *BROWNIAN, "--t0", "0.15", "--y0", "1", "--alpha", "inf"),
+        ],
+    )
+    def test_exit_one_with_one_json_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "validation"
+        assert "Traceback" not in err
 
 
 class TestMassProbe:

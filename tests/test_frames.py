@@ -167,6 +167,14 @@ class TestParsevalDefect:
         rep = parseval_defect(SINC, s, [0.25])
         assert rep.tail_bound is None
 
+    def test_gapped_integer_nodes_have_no_tail(self):
+        s = SampleSet.of([-10.0, 0.0, 10.0])
+        rep = parseval_defect(SINC, s, [0.5])
+        assert rep.tail_bound is None
+        assert frame_report_json(rep)["N"] == 3
+        with pytest.raises(ValidationError):
+            parseval_defect(SINC, s, [0.5], tail_budget=0.1)
+
     def test_truncation_field_holds_sample_set(self):
         s = integer_nodes(5)
         rep = parseval_defect(SINC, s, [0.25])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pdsampling import (
+    CapacityError,
     DomainError,
     KernelSpec,
     SampleSet,
@@ -187,6 +188,20 @@ class TestCheckPositiveDefinite:
         flag, mineig = check_positive_definite(spec, SampleSet.of([0.0, 1.0]), 1e-10)
         assert not flag
         assert abs(mineig + 1.0) < 1e-12
+
+    def test_binomial_past_double_range_is_capacity(self):
+        with pytest.raises(CapacityError):
+            check_positive_definite(KernelSpec.binomial(), SampleSet.of(range(600)), 1e-9)
+
+
+class TestCheckDomain:
+    def test_returns_checked_float64_array(self):
+        got = check_domain(KernelSpec.binomial(), [0, 2, 5])
+        assert got.dtype == np.float64
+        assert got.tolist() == [0.0, 2.0, 5.0]
+        one = check_domain(KernelSpec.bridge(), 0.25)
+        assert one.dtype == np.float64 and one.shape == ()
+        assert float(one) == 0.25
 
 
 class TestTabulated:
