@@ -7,7 +7,8 @@ status 0 means success, 1 a validation or domain error, 2 a numerical
 failure (singular Gram, capacity); either failure prints a one-line JSON
 object on stderr.
 
-Point syntax: `a..b` is an inclusive integer range, `start:stop:step` a real
+Point syntax, shared by every list flag (points, grids, values, samples,
+weights): `a..b` is an inclusive integer range, `start:stop:step` a real
 grid (the step must tile the interval exactly), `v1,v2,...` an inline list,
 a bare number a singleton, and anything else is read as a numeric CSV file.
 The path of an existing file is read as a file before any of the other
@@ -27,13 +28,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError, check_int
 from .frames import frame_report_json, parseval_defect, reconstruct
 from .gram import build_gram, gram_report, gram_to_csv
-from .interpolate import (
-    obstruction_probe,
-    plf_to_csv,
-    ridge_interpolant,
-    spline_interpolant,
-)
-from .kernels import SampleSet, eval_kernel, parse_kernel
+from .interpolate import _ridge_fit, obstruction_probe, plf_to_csv, spline_interpolant
+from .kernels import KernelSpec, SampleSet, eval_kernel, kernel_values, parse_kernel
 from .massprobe import probe_report, probe_to_csv, report_json
 from .simulate import (
     empirical_covariance,
@@ -116,17 +112,6 @@ def parse_point_text(text: str) -> list[float]:
     return [v for row in _read_numeric_csv(text) for v in row]
 
 
-def _parse_values(text: str) -> list[float]:
-    """Value lists: inline comma floats, a bare number, or a CSV file."""
-    text = text.strip()
-    if "," in text:
-        return [_parse_number(p) for p in text.split(",") if p.strip()]
-    try:
-        return [float(text)]
-    except ValueError:
-        return [v for row in _read_numeric_csv(text) for v in row]
-
-
 def _resolve_out(out: str | None) -> str | None:
     if out is None or out == "-":
         return None
@@ -135,35 +120,34 @@ def _resolve_out(out: str | None) -> str | None:
     return out
 
 
-def _emit(text: str, out: str | None) -> None:
-    path = _resolve_out(out)
+def _report(args, fmt: str, fields: dict, payload: dict | str) -> int:
+    """Write the one report of a run and return exit status 0.
+
+    The configuration echoes the command, the resolved fields, the format
+    and the output path.  A dict payload is written as strict indented JSON
+    after the configuration; a str payload is a CSV body under one `#`
+    header line that carries the configuration.
+    """
+    config = {"command": args.command, **fields, "format": fmt, "out": args.out}
+    if isinstance(payload, str):
+        compact = json.dumps(config, separators=(",", ":"))
+        text = f"# schema_version={SCHEMA_VERSION} config={compact}\n{payload}"
+    else:
+        doc = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericalError(f"report holds a non-finite number: {exc}") from None
+    path = _resolve_out(args.out)
     if path is None:
         sys.stdout.write(text)
-        return
+        return 0
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
-
-
-def _emit_json(payload: dict, config: dict, out: str | None) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "config": config}
-    doc.update(payload)
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"report holds a non-finite number: {exc}") from None
-    _emit(text + "\n", out)
-
-
-def _csv_header(config: dict) -> str:
-    compact = json.dumps(config, separators=(",", ":"))
-    return f"# schema_version={SCHEMA_VERSION} config={compact}\n"
-
-
-def _emit_csv(body: str, config: dict, out: str | None) -> None:
-    _emit(_csv_header(config) + body, out)
+    return 0
 
 
 def _check_format(fmt: str, allowed: tuple[str, ...]) -> str:
@@ -177,16 +161,8 @@ def _check_format(fmt: str, allowed: tuple[str, ...]) -> str:
 def _cmd_kernel_eval(args) -> int:
     spec = parse_kernel(args.kernel)
     value = eval_kernel(spec, args.s, args.t)
-    config = {
-        "command": "kernel-eval",
-        "kernel": spec.to_text(),
-        "s": args.s,
-        "t": args.t,
-        "format": "json",
-        "out": args.out,
-    }
-    _emit_json({"value": value}, config, args.out)
-    return 0
+    fields = {"kernel": spec.to_text(), "s": args.s, "t": args.t}
+    return _report(args, "json", fields, {"value": value})
 
 
 def _cmd_gram(args) -> int:
@@ -194,18 +170,8 @@ def _cmd_gram(args) -> int:
     fmt = _check_format(args.format, ("json", "csv"))
     points = parse_point_text(args.points)
     g = build_gram(spec, SampleSet.of(points))
-    config = {
-        "command": "gram",
-        "kernel": spec.to_text(),
-        "points": points,
-        "format": fmt,
-        "out": args.out,
-    }
-    if fmt == "csv":
-        _emit_csv(gram_to_csv(g), config, args.out)
-    else:
-        _emit_json(gram_report(g), config, args.out)
-    return 0
+    payload = gram_to_csv(g) if fmt == "csv" else gram_report(g)
+    return _report(args, fmt, {"kernel": spec.to_text(), "points": points}, payload)
 
 
 def _cmd_frame_check(args) -> int:
@@ -225,40 +191,27 @@ def _cmd_frame_check(args) -> int:
         tail_budget=args.tail_budget,
         include_bounds=args.bounds,
     )
-    config = {
-        "command": "frame-check",
+    fields = {
         "kernel": spec.to_text(),
         "integers": args.integers,
         "points": None if args.integers is not None else points,
         "grid": grid,
         "tail_budget": args.tail_budget,
         "bounds": args.bounds,
-        "format": "json",
-        "out": args.out,
     }
-    _emit_json(frame_report_json(report), config, args.out)
-    return 0
+    return _report(args, "json", fields, frame_report_json(report))
 
 
 def _cmd_reconstruct(args) -> int:
     spec = parse_kernel(args.kernel)
     points = parse_point_text(args.points)
-    samples = _parse_values(args.samples)
+    samples = parse_point_text(args.samples)
     s = SampleSet.of(points)
     if len(samples) != len(s):
         raise ValidationError(f"{len(samples)} samples for {len(s)} sample points")
     value = reconstruct(spec, s, samples, args.t)
-    config = {
-        "command": "reconstruct",
-        "kernel": spec.to_text(),
-        "points": points,
-        "samples": samples,
-        "t": args.t,
-        "format": "json",
-        "out": args.out,
-    }
-    _emit_json({"value": value}, config, args.out)
-    return 0
+    fields = {"kernel": spec.to_text(), "points": points, "samples": samples, "t": args.t}
+    return _report(args, "json", fields, {"value": value})
 
 
 def _interp_inputs(args) -> tuple[list[float], list[float]]:
@@ -272,7 +225,7 @@ def _interp_inputs(args) -> tuple[list[float], list[float]]:
         return [r[0] for r in pairs], [r[1] for r in pairs]
     if args.points is None or args.values is None:
         raise ValidationError("need --points and --values (or --data)")
-    return parse_point_text(args.points), _parse_values(args.values)
+    return parse_point_text(args.points), parse_point_text(args.values)
 
 
 def _cmd_interpolate(args) -> int:
@@ -283,93 +236,67 @@ def _cmd_interpolate(args) -> int:
     if args.spline:
         fmt = _check_format(args.format, ("json", "csv"))
         result = spline_interpolant(s, values, finiteness_budget=args.budget)
-        config = {
-            "command": "interpolate",
+        fields = {
             "mode": "spline",
             "points": points,
             "values": values,
             "budget": None if math.isinf(args.budget) else args.budget,
-            "format": fmt,
-            "out": args.out,
         }
         if fmt == "csv":
-            _emit_csv(plf_to_csv(result.function), config, args.out)
-        else:
-            _emit_json(
-                {
-                    "knots": list(result.function.knots),
-                    "values": list(result.function.values),
-                    "norm_sq": result.norm_sq,
-                    "admissible": result.admissible,
-                },
-                config,
-                args.out,
-            )
-        return 0
+            return _report(args, fmt, fields, plf_to_csv(result.function))
+        payload = {
+            "knots": list(result.function.knots),
+            "values": list(result.function.values),
+            "norm_sq": result.norm_sq,
+            "admissible": result.admissible,
+        }
+        return _report(args, fmt, fields, payload)
     if args.kernel is None:
         raise ValidationError("ridge interpolation needs --kernel (or use --spline)")
     fmt = _check_format(args.format, ("json",))
     spec = parse_kernel(args.kernel)
-    weights = _parse_values(args.weights) if args.weights is not None else None
-    f = ridge_interpolant(spec, s, values, args.alpha, weights)
-    g = build_gram(spec, s)
-    c = np.asarray(f.coefficients)
-    fitted = g.entries @ c
-    residuals = [float(fv - yv) for fv, yv in zip(fitted, values)]
-    config = {
-        "command": "interpolate",
+    weights = parse_point_text(args.weights) if args.weights is not None else None
+    c, fitted, _ = _ridge_fit(spec, s, values, args.alpha, weights)
+    fields = {
         "mode": "ridge",
         "kernel": spec.to_text(),
         "points": points,
         "values": values,
         "alpha": args.alpha,
         "weights": weights,
-        "format": fmt,
-        "out": args.out,
     }
-    _emit_json(
-        {
-            "coefficients": list(f.coefficients),
-            "node_residuals": residuals,
-            "norm_sq": float(c @ (g.entries @ c)),
-        },
-        config,
-        args.out,
-    )
-    return 0
+    payload = {
+        "coefficients": c.tolist(),
+        "node_residuals": [fv - yv for fv, yv in zip(fitted.tolist(), values)],
+        "norm_sq": float(c @ fitted),
+    }
+    return _report(args, fmt, fields, payload)
 
 
 def _cmd_obstruct(args) -> int:
     spec = parse_kernel(args.kernel)
     points = parse_point_text(args.points)
     s = SampleSet.of(points)
-    weights = _parse_values(args.weights) if args.weights is not None else None
+    weights = parse_point_text(args.weights) if args.weights is not None else None
     result = obstruction_probe(spec, s, args.t0, args.y0, args.alpha, weights)
-    config = {
-        "command": "obstruct",
+    fields = {
         "kernel": spec.to_text(),
         "points": points,
         "t0": args.t0,
         "y0": args.y0,
         "alpha": args.alpha,
         "weights": list(result.weights),
-        "format": "json",
-        "out": args.out,
     }
-    _emit_json(
-        {
-            "minimum_value": result.minimum_value,
-            "minimizer_points": list(result.minimizer.sample_set.points),
-            "minimizer_coefficients": list(result.minimizer.coefficients),
-            "residuals_at_S": list(result.residuals_at_s),
-            "value_at_t0": result.value_at_t0,
-            "alpha": result.alpha,
-            "weights": list(result.weights),
-        },
-        config,
-        args.out,
-    )
-    return 0
+    payload = {
+        "minimum_value": result.minimum_value,
+        "minimizer_points": list(result.minimizer.sample_set.points),
+        "minimizer_coefficients": list(result.minimizer.coefficients),
+        "residuals_at_S": list(result.residuals_at_s),
+        "value_at_t0": result.value_at_t0,
+        "alpha": result.alpha,
+        "weights": list(result.weights),
+    }
+    return _report(args, "json", fields, payload)
 
 
 def _cmd_mass_probe(args) -> int:
@@ -379,20 +306,9 @@ def _cmd_mass_probe(args) -> int:
     v = SampleSet.of(points)
     n_max = args.n_max if args.n_max is not None else len(v)
     report = probe_report(spec, v, args.target, n_max)
-    config = {
-        "command": "mass-probe",
-        "kernel": spec.to_text(),
-        "points": points,
-        "target": args.target,
-        "n_max": n_max,
-        "format": fmt,
-        "out": args.out,
-    }
-    if fmt == "csv":
-        _emit_csv(probe_to_csv(report.norms), config, args.out)
-    else:
-        _emit_json(report_json(report), config, args.out)
-    return 0
+    fields = {"kernel": spec.to_text(), "points": points, "target": args.target, "n_max": n_max}
+    payload = probe_to_csv(report.norms) if fmt == "csv" else report_json(report)
+    return _report(args, fmt, fields, payload)
 
 
 def _cmd_simulate(args) -> int:
@@ -406,46 +322,40 @@ def _cmd_simulate(args) -> int:
         e = simulate_brownian(grid, args.paths, args.depth, args.seed)
     else:
         e = simulate_bridge(grid, args.paths, args.depth, args.seed)
-    config = {
-        "command": "simulate",
+    fields = {
         "kernel": args.kernel,
         "grid": grid,
         "paths": args.paths,
         "depth": args.depth,
         "seed": args.seed,
-        "format": fmt,
-        "out": args.out,
     }
     if fmt == "csv":
-        _emit_csv(ensemble_to_csv(e), config, args.out)
-        return 0
+        return _report(args, fmt, fields, ensemble_to_csv(e))
     mean = [float(v) for v in e.paths.mean(axis=0)]
     var = [float(v) for v in e.paths.var(axis=0, ddof=1)]
     exact = truncated_covariance(grid, args.depth, kind=args.kernel)
     m = len(grid)
     idx = sorted({m // 4, m // 2, (3 * m) // 4})
     pairs = [(a, b) for k, a in enumerate(idx) for b in idx[k:]]
+    # The grid is checked against [0, 1], where both kernels are defined.
+    g = np.asarray(grid)
+    rows, cols = np.array(pairs).T
+    kernel = kernel_values(KernelSpec(args.kernel), g[rows], g[cols]).tolist()
     checks = []
-    for i, j in pairs:
+    for (i, j), kernel_value in zip(pairs, kernel):
         est, se = empirical_covariance(e, i, j)
-        s_t, t_t = grid[i], grid[j]
-        kernel_value = min(s_t, t_t) if args.kernel == "brownian" else min(s_t, t_t) - s_t * t_t
         checks.append(
             {
-                "s": s_t,
-                "t": t_t,
+                "s": grid[i],
+                "t": grid[j],
                 "empirical": est,
                 "std_error": se,
                 "exact_truncated": float(exact[i, j]),
                 "kernel_value": kernel_value,
             }
         )
-    _emit_json(
-        {"grid": grid, "mean": mean, "var": var, "cov_checks": checks},
-        config,
-        args.out,
-    )
-    return 0
+    payload = {"grid": grid, "mean": mean, "var": var, "cov_checks": checks}
+    return _report(args, fmt, fields, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,12 @@
 
 Two families, matching the CLI exit-code contract: ValidationError (and its
 DomainError subclass) for rejected inputs, NumericalError for failures of an
-otherwise well-posed computation.  check_int, the one integer validator, lives
-here because every other module imports this one.
+otherwise well-posed computation.  check_int, the one integer validator, and
+check_increasing, the one point-sequence validator, live here because every
+other module imports this one.
 """
+
+import numpy as np
 
 
 class ValidationError(Exception):
@@ -44,3 +47,24 @@ def check_int(name: str, value, lo: int, hi: int | None = None, error=Validation
         return value
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
     raise error(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def check_increasing(name: str, values) -> np.ndarray:
+    """values as a float64 array when non-empty, finite and strictly increasing.
+
+    Anything else raises ValidationError naming the sequence; an ordering
+    failure also names the first pair out of order.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        raise ValidationError(f"{name} must be non-empty")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} must be finite")
+    out_of_order = a[1:] <= a[:-1]
+    if out_of_order.any():
+        i = int(np.argmax(out_of_order))
+        raise ValidationError(
+            f"{name} must be strictly increasing; "
+            f"points[{i}]={a[i].item()!r} >= points[{i + 1}]={a[i + 1].item()!r}"
+        )
+    return a

@@ -142,13 +142,15 @@ def parseval_defect(
     maximum, from one grid x S kernel block and the diagonal K(t,t); each
     row sum is numpy's pairwise sum, fixed for a given input.  For integer
     sinc sampling the analytic tail bound is attached; when tail_budget is
-    given, a tail bound above it is rejected.  The eigenvalue-based frame
-    bounds run only when include_bounds is set, since they cost a dense
-    symmetric eigensolve.
+    given, it must be finite and non-negative, and a tail bound above it is
+    rejected.  The eigenvalue-based frame bounds run only when
+    include_bounds is set, since they cost a dense symmetric eigensolve.
     """
     grid = [float(t) for t in grid]
     if not grid:
         raise ValidationError("probe grid must contain at least one point")
+    if tail_budget is not None and not 0.0 <= tail_budget < math.inf:
+        raise ValidationError(f"tail budget must be finite and non-negative, got {tail_budget}")
     g = check_domain(spec, grid)
     block = kernel_values(spec, g[:, None], check_domain(spec, s.points)[None, :])
     block *= block

@@ -18,7 +18,7 @@ entries come from kernels.kernel_values on points checked by
 kernels.check_domain; then cholesky_factor, the one route to a factor; then
 cholesky_solve, the package's only SPD solve, or substitutions read directly
 off the factor by the probes.  det_lu is None, and reports carry
-"det_lu": null, when the LU pivot product leaves the double range, as it
+"det_lu": null, when the LU determinant leaves the double range, as it
 does for the binomial Gram over 0..100.
 """
 
@@ -43,6 +43,11 @@ PIVOT_FLOOR = 1e-12
 # itself is arbitrary precision; the ceiling keeps every advertised product
 # and inverse within the exactly-tested range.
 PASCAL_CAPACITY = 60
+
+# Largest point x of a binomial Gram that fits doubles: the largest entry,
+# C(2x, x) at the last point, is below the double maximum at x = 514 and
+# above it at x = 515, so no entry needs computing to decide the overflow.
+BINOMIAL_GRAM_MAX_POINT = 514
 
 
 @dataclass(frozen=True)
@@ -73,19 +78,19 @@ def build_gram(spec: KernelSpec, s: SampleSet) -> GramMatrix:
     One block evaluation over the validated points; the kernels are
     symmetric entry by entry (see kernels), so no triangle is mirrored here.
     Binomial entries are kept exact in `exact_entries`; a binomial Gram with
-    an entry past the double range raises CapacityError.
+    an entry past the double range raises CapacityError before any entry is
+    computed.
     """
     a = validate_sample_set(spec, s)
-    values = kernel_values(spec, a[:, None], a[None, :])
-    if spec.kind != "binomial":
-        return GramMatrix(spec, s, values)
-    try:
-        entries = values.astype(float)
-    except OverflowError:
+    if spec.kind == "binomial" and a[-1] > BINOMIAL_GRAM_MAX_POINT:
         raise CapacityError(
             f"binomial Gram over {len(s)} points has entries beyond the double range "
             f"(largest C({2 * int(a[-1])}, {int(a[-1])}))"
-        ) from None
+        )
+    values = kernel_values(spec, a[:, None], a[None, :])
+    if spec.kind != "binomial":
+        return GramMatrix(spec, s, values)
+    entries = values.astype(float)
     return GramMatrix(spec, s, entries, exact_entries=tuple(map(tuple, values.tolist())))
 
 
@@ -168,19 +173,20 @@ def cholesky_solve(a: np.ndarray, rhs) -> np.ndarray:
 
 
 def det_lu(matrix) -> float | None:
-    """Determinant via partial-pivot LU; the dense oracle side of the closed forms.
+    """Determinant as sign * exp(log|det|) from one partial-pivot LU (slogdet).
 
-    None when the product of the LU pivots is not a finite double (the
-    binomial Gram over 0..100, whose determinant is exactly 1, overflows).
+    The dense oracle side of the closed forms.  An exactly singular matrix
+    gives 0.0; None when the determinant is past the double range (the
+    binomial Gram over 0..100, whose determinant is exactly 1, has an LU
+    pivot product that overflows).
     """
     if isinstance(matrix, GramMatrix):
         matrix = matrix.entries
-    a = np.asarray(matrix, dtype=float)
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    sign = 1.0 if np.count_nonzero(piv != np.arange(a.shape[0])) % 2 == 0 else -1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = sign * float(np.prod(np.diag(lu)))
-    return det if math.isfinite(det) else None
+    sign, logdet = np.linalg.slogdet(np.asarray(matrix, dtype=float))
+    try:
+        return float(sign) * math.exp(logdet)
+    except OverflowError:
+        return None
 
 
 def det_brownian_closed(s: SampleSet) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_increasing
 from .frames import CoefficientFunction
 from .gram import build_gram, cholesky_solve
 from .kernels import KernelSpec, SampleSet, check_domain
@@ -30,19 +30,13 @@ class PiecewiseLinearFunction:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.knots) == 0:
-            raise ValidationError("need at least one knot")
+        check_increasing("knots", self.knots)
         if len(self.knots) != len(self.values):
             raise ValidationError(
                 f"{len(self.knots)} knots but {len(self.values)} values"
             )
-        arr = np.asarray(self.knots, dtype=float)
-        if not np.all(np.isfinite(arr)) or not np.all(
-            np.isfinite(np.asarray(self.values, dtype=float))
-        ):
-            raise ValidationError("knots and values must be finite")
-        if np.any(np.diff(arr) <= 0):
-            raise ValidationError("knots must be strictly increasing")
+        if not np.isfinite(np.asarray(self.values, dtype=float)).all():
+            raise ValidationError("values must be finite")
 
     def __call__(self, t):
         out = np.interp(t, self.knots, self.values)
@@ -143,25 +137,34 @@ def sawtooth_energy_closed(s: SampleSet, slopes=None) -> float:
     return math.fsum(slopes[i] ** 2 * (pts[i + 1] - pts[i]) for i in range(n_teeth))
 
 
-def _ridge_solve(entries: np.ndarray, y, alpha: float, weights, probe_index=None):
-    """Coefficients c of (G + diag(alpha / w)) c = y, and the validated weights.
+def _ridge_fit(spec: KernelSpec, s: SampleSet, y, alpha: float, weights, probe_index=None):
+    """(c, G c, w): the solution c of (G + diag(alpha / w)) c = y over s.
 
-    weights holds one strictly positive value per sample point, all ones
-    when None.  With probe_index set, that row of G belongs to the
+    Checks alpha, then the targets' shape, then builds the Gram, then checks
+    the weights: one finite, strictly positive value per sample point, all
+    ones when None.  With probe_index set, that point of s is the
     obstruction probe point, which is not a sample point and carries weight
     1 in the solve.
     """
-    n = len(entries) if probe_index is None else len(entries) - 1
+    alpha = float(alpha)
+    if not 0.0 <= alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and non-negative, got {alpha}")
+    y = np.asarray([float(v) for v in y], dtype=float)
+    if y.shape != (len(s),):
+        raise ValidationError(f"{y.size} targets for {len(s)} sample points")
+    entries = build_gram(spec, s).entries
+    n = len(s) if probe_index is None else len(s) - 1
     if weights is None:
         w = np.ones(n)
     else:
         w = np.asarray([float(v) for v in weights], dtype=float)
         if w.shape != (n,):
             raise ValidationError(f"{w.size} weights for {n} sample points")
-        if not np.all(w > 0.0):
-            raise ValidationError("weights must be strictly positive")
+        if not (np.isfinite(w) & (w > 0.0)).all():
+            raise ValidationError("weights must be finite and strictly positive")
     penalty = w if probe_index is None else np.insert(w, probe_index, 1.0)
-    return cholesky_solve(entries + np.diag(alpha / penalty), y), w
+    c = cholesky_solve(entries + np.diag(alpha / penalty), y)
+    return c, entries @ c, w
 
 
 def ridge_interpolant(
@@ -172,13 +175,7 @@ def ridge_interpolant(
     W = diag(weights), all-ones by default.  alpha = 0 gives exact
     interpolation: the same solve, with a zero diagonal added.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < math.inf:
-        raise ValidationError(f"alpha must be finite and non-negative, got {alpha}")
-    y = np.asarray([float(v) for v in y], dtype=float)
-    if y.shape != (len(s),):
-        raise ValidationError(f"{y.size} targets for {len(s)} sample points")
-    c, _ = _ridge_solve(build_gram(spec, s).entries, y, alpha, weights)
+    c, _, _ = _ridge_fit(spec, s, y, alpha, weights)
     return CoefficientFunction(spec, s, tuple(float(v) for v in c))
 
 
@@ -223,12 +220,9 @@ def obstruction_probe(
     aug = SampleSet.of(s.points[:i0] + (t0,) + s.points[i0:])
     targets = tuple(0.0 if k != i0 else float(y0) for k in range(len(aug)))
 
-    # The ridge_interpolant solve, on the one Gram the objective also needs.
-    g = build_gram(spec, aug)
-    c, w = _ridge_solve(g.entries, targets, alpha, weights, probe_index=i0)
+    c, u, w = _ridge_fit(spec, aug, targets, alpha, weights, probe_index=i0)
     w = tuple(w.tolist())
     minimizer = CoefficientFunction(spec, aug, tuple(float(v) for v in c))
-    u = g.entries @ c
     norm_sq = float(c @ u)
     value_at_t0 = float(u[i0])
     residuals = tuple(float(u[k]) for k in range(len(aug)) if k != i0)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError, check_int
+from .errors import CapacityError, DomainError, ValidationError, check_increasing, check_int
 
 KERNEL_KINDS = ("sinc", "brownian", "bridge", "binomial", "tabulated")
 
@@ -80,13 +80,7 @@ class TabulatedTable:
     source: str | None = None
 
     def __post_init__(self):
-        n = len(self.points)
-        if n == 0:
-            raise ValidationError("tabulated kernel needs at least one point")
-        if any(not math.isfinite(p) for p in self.points):
-            raise ValidationError("tabulated points must be finite")
-        if any(a >= b for a, b in zip(self.points, self.points[1:])):
-            raise ValidationError("tabulated points must be strictly increasing")
+        n = check_increasing("tabulated points", self.points).size
         if len(self.values) != n or any(len(row) != n for row in self.values):
             raise ValidationError(f"tabulated table must be {n}x{n} to match its points")
         matrix = np.array(self.values, dtype=float)
@@ -201,16 +195,7 @@ class SampleSet:
     points: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.points) == 0:
-            raise ValidationError("sample set must be non-empty")
-        if any(not math.isfinite(p) for p in self.points):
-            raise ValidationError("sample points must be finite")
-        for i, (a, b) in enumerate(zip(self.points, self.points[1:])):
-            if a >= b:
-                raise ValidationError(
-                    f"sample points must be strictly increasing; "
-                    f"points[{i}]={a!r} >= points[{i + 1}]={b!r}"
-                )
+        check_increasing("sample points", self.points)
 
     @classmethod
     def of(cls, values) -> "SampleSet":
@@ -316,7 +301,7 @@ def sinc_pi(x: float) -> float:
 def kernel_values(spec: KernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """K(s, t) elementwise over broadcast arrays of points, without domain checks.
 
-    s and t come from check_domain.  Shapes (n, 1) and (1, m) give the
+    s and t are checked points.  Shapes (n, 1) and (1, m) give the
     n x m block, equal shapes the pairs (s[i], t[i]).  The result is a new
     array that the caller may overwrite.
     """

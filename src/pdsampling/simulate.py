@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, check_int
+from .errors import CapacityError, ValidationError, check_increasing, check_int
 
 # Capacity ceilings, checked before anything of their size is allocated.  The
 # largest ensemble of the acceptance checks, 20,000 paths on a 65-point grid
@@ -57,13 +57,7 @@ class PathEnsemble:
 
 
 def _check_grid(grid) -> np.ndarray:
-    g = np.asarray([float(t) for t in grid], dtype=float)
-    if g.size == 0:
-        raise ValidationError("time grid must contain at least one point")
-    if not np.all(np.isfinite(g)):
-        raise ValidationError("time grid must be finite")
-    if np.any(np.diff(g) <= 0):
-        raise ValidationError("time grid must be strictly increasing")
+    g = check_increasing("time grid", grid)
     if g[0] < 0.0 or g[-1] > 1.0:
         raise ValidationError("time grid must lie inside [0, 1]")
     return g

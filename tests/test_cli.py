@@ -153,6 +153,17 @@ class TestGram:
         assert doc["det_lu"] is None
         assert doc["order"] == 101
 
+    def test_singular_table_determinant_is_zero(self, capsys, tmp_path):
+        # Rows 0 and 1 of the table are equal, so its LU has a zero pivot.
+        table = tmp_path / "t.csv"
+        table.write_text("0,1,2\n1,1,0\n1,1,0\n0,0,1\n")
+        code, out, err = run(
+            capsys, "gram", "--kernel", f"tabulated:{table}", "--points", "0,1,2"
+        )
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["det_lu"] == 0.0
+
 
 class TestStrictJson:
     def test_non_finite_report_exits_two(self, capsys, monkeypatch):
@@ -338,6 +349,48 @@ class TestInterpolate:
         assert out == ""
         assert "unsupported format" in json.loads(err)["message"]
 
+    def test_ridge_builds_one_gram(self, capsys, monkeypatch):
+        real = pdsampling.gram.build_gram
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pdsampling") and getattr(module, "build_gram", None) is real:
+                monkeypatch.setattr(module, "build_gram", counted)
+        doc = run_json(
+            capsys,
+            "interpolate",
+            "--kernel",
+            "brownian",
+            "--points",
+            "1,2,3",
+            "--values",
+            "1,2,3",
+            "--alpha",
+            "0.1",
+        )
+        assert len(calls) == 1
+        assert len(doc["node_residuals"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv, flag, ranged, listed",
+        [
+            (("interpolate", "--kernel", "brownian", "--points", "1,2,3"), "--values", "0..2", "0,1,2"),
+            (("reconstruct", "--kernel", "sinc", "--points", "0..2", "--t", "0.3"), "--samples", "0:1:0.5", "0,0.5,1"),
+            (
+                ("obstruct", "--kernel", "brownian", "--points", "1,2", "--t0", "0.5", "--y0", "1", "--alpha", "0.1"),
+                "--weights",
+                "1..2",
+                "1,2",
+            ),
+        ],
+    )
+    def test_value_lists_take_the_point_syntax(self, capsys, argv, flag, ranged, listed):
+        assert run_json(capsys, *argv, flag, ranged) == run_json(capsys, *argv, flag, listed)
+
     def test_data_file_replaces_inline_pairs(self, capsys, tmp_path):
         data = tmp_path / "xy.csv"
         data.write_text("1.0,0.0\n2.0,1.0\n")
@@ -383,6 +436,14 @@ class TestNonFiniteNumbers:
             ("interpolate", *BROWNIAN, "--values", "1,nan,3", "--alpha", "1"),
             ("obstruct", *BROWNIAN, "--t0", "0.15", "--y0", "inf", "--alpha", "1"),
             ("obstruct", *BROWNIAN, "--t0", "0.15", "--y0", "1", "--alpha", "inf"),
+            (
+                "frame-check", "--kernel", "sinc", "--integers", "5", "--grid", "0.5",
+                "--tail-budget", "nan",
+            ),
+            (
+                "obstruct", "--kernel", "brownian", "--points", "1,2", "--t0", "0.5",
+                "--y0", "1", "--alpha", "0.1", "--weights", "inf,1",
+            ),
         ],
     )
     def test_exit_one_with_one_json_line(self, capsys, argv):
@@ -562,6 +623,36 @@ class TestSimulate:
                 abs(check["empirical"] - check["exact_truncated"])
                 <= 6 * check["std_error"]
             )
+
+    @pytest.mark.parametrize("kernel", ["brownian", "bridge"])
+    def test_kernel_value_is_the_kernel(self, capsys, kernel):
+        doc = run_json(
+            capsys,
+            "simulate",
+            "--kernel",
+            kernel,
+            "--grid",
+            "0:1:0.5",
+            "--paths",
+            "3",
+            "--depth",
+            "2",
+            "--seed",
+            "1",
+            "--format",
+            "json",
+        )
+        spec = pdsampling.KernelSpec(kernel)
+        endpoints = 0
+        for check in doc["cov_checks"]:
+            s, t = check["s"], check["t"]
+            if kernel == "bridge" and {s, t} & {0.0, 1.0}:
+                endpoints += 1
+                assert check["kernel_value"] == 0.0
+            else:
+                assert check["kernel_value"] == pdsampling.eval_kernel(spec, s, t)
+        assert len(doc["cov_checks"]) == 6
+        assert endpoints == (5 if kernel == "bridge" else 0)
 
     def test_sinc_rejected(self, capsys):
         code, _, err = run(

@@ -1,8 +1,11 @@
 """Gram construction, SPD solves, determinant oracles, Pascal algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
+import pdsampling.gram
 from pdsampling import (
     CapacityError,
     KernelSpec,
@@ -21,7 +24,7 @@ from pdsampling import (
     pascal_inverse,
     pascal_lower,
 )
-from pdsampling.gram import cholesky_factor, gram_to_csv
+from pdsampling.gram import BINOMIAL_GRAM_MAX_POINT, cholesky_factor, gram_to_csv
 
 
 def random_increasing(rng, n, lo, hi):
@@ -57,6 +60,25 @@ class TestBuildGram:
             for i, p in enumerate(s.points):
                 for j, q in enumerate(s.points):
                     assert g.entries[i, j] == eval_kernel(spec, p, q)
+
+    def test_binomial_capacity_decided_before_any_entry(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("binomial entries computed past the double range")
+
+        monkeypatch.setattr(pdsampling.gram, "kernel_values", refuse)
+        with pytest.raises(CapacityError, match="beyond the double range"):
+            build_gram(KernelSpec.binomial(), SampleSet.of(range(600)))
+
+    def test_binomial_capacity_edge_matches_math_comb(self):
+        # The largest entry of a binomial Gram is C(2x, x) at its last point x.
+        x = BINOMIAL_GRAM_MAX_POINT
+        assert math.isfinite(float(math.comb(2 * x, x)))
+        with pytest.raises(OverflowError):
+            float(math.comb(2 * x + 2, x + 1))
+        g = build_gram(KernelSpec.binomial(), SampleSet.of([x - 1, x]))
+        assert g.entries[1, 1] == float(math.comb(2 * x, x))
+        with pytest.raises(CapacityError, match=rf"C\({2 * x + 2}, {x + 1}\)"):
+            build_gram(KernelSpec.binomial(), SampleSet.of([0, x + 1]))
 
     def test_entries_frozen(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0]))

@@ -1,6 +1,7 @@
 """Kernel evaluation, domain checking, and sample-set validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pdsampling import (
     CapacityError,
     DomainError,
     KernelSpec,
+    PiecewiseLinearFunction,
     SampleSet,
     TabulatedTable,
     ValidationError,
@@ -18,8 +20,10 @@ from pdsampling import (
     eval_kernel,
     parse_kernel,
     sinc_pi,
+    truncated_variance,
     validate_sample_set,
 )
+from pdsampling.errors import check_increasing
 
 
 class TestEvalKernel:
@@ -149,6 +153,13 @@ class TestSampleSet:
         with pytest.raises(ValidationError):
             SampleSet.of([math.nan])
 
+    def test_ordering_message_names_first_pair(self):
+        with pytest.raises(ValidationError) as info:
+            SampleSet.of([1.0, 3.0, 2.0, 0.0])
+        assert str(info.value) == (
+            "sample points must be strictly increasing; points[1]=3.0 >= points[2]=2.0"
+        )
+
     def test_brownian_requires_positive_points(self):
         validate_sample_set(KernelSpec.brownian(), SampleSet.of([0.5, 1.0]))
         with pytest.raises(ValidationError):
@@ -164,6 +175,32 @@ class TestSampleSet:
         validate_sample_set(KernelSpec.binomial(), SampleSet.of([0.0, 1.0, 5.0]))
         with pytest.raises(ValidationError):
             validate_sample_set(KernelSpec.binomial(), SampleSet.of([0.0, 1.5]))
+
+
+# Every validated point sequence goes through errors.check_increasing.
+SEQUENCES = {
+    "sample-set": SampleSet.of,
+    "tabulated": lambda pts: TabulatedTable.from_rows(pts, np.eye(len(pts))),
+    "knots": lambda pts: PiecewiseLinearFunction(tuple(pts), (0.0,) * len(pts)),
+    "time-grid": lambda pts: truncated_variance(pts, 1),
+}
+
+
+class TestCheckIncreasing:
+    def test_returns_float64_array(self):
+        got = check_increasing("points", (0, 0.5, 2))
+        assert got.dtype == np.float64
+        assert got.tolist() == [0.0, 0.5, 2.0]
+
+    @pytest.mark.parametrize("make", SEQUENCES.values(), ids=SEQUENCES.keys())
+    @pytest.mark.parametrize(
+        "points, words",
+        [([], "non-empty"), ([0.25, math.nan], "finite"), ([0.5, 0.25], "points[0]=0.5 >= points[1]=0.25")],
+        ids=["empty", "non-finite", "unordered"],
+    )
+    def test_every_sequence_rejects(self, make, points, words):
+        with pytest.raises(ValidationError, match=re.escape(words)):
+            make(points)
 
 
 class TestCheckPositiveDefinite:
