@@ -124,20 +124,21 @@ def _report(args, fmt: str, fields: dict, payload: dict | str) -> int:
     """Write the one report of a run and return exit status 0.
 
     The configuration echoes the command, the resolved fields, the format
-    and the output path.  A dict payload is written as strict indented JSON
-    after the configuration; a str payload is a CSV body under one `#`
-    header line that carries the configuration.
+    and the output path.  A dict payload is written as indented JSON after
+    the configuration; a str payload is a CSV body under one `#` header line
+    that carries the configuration as compact JSON.  Both are strict JSON: a
+    non-finite number in either raises NumericalError.
     """
     config = {"command": args.command, **fields, "format": fmt, "out": args.out}
-    if isinstance(payload, str):
-        compact = json.dumps(config, separators=(",", ":"))
-        text = f"# schema_version={SCHEMA_VERSION} config={compact}\n{payload}"
-    else:
-        doc = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
-        try:
+    try:
+        if isinstance(payload, str):
+            compact = json.dumps(config, separators=(",", ":"), allow_nan=False)
+            text = f"# schema_version={SCHEMA_VERSION} config={compact}\n{payload}"
+        else:
+            doc = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
             text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-        except ValueError as exc:
-            raise NumericalError(f"report holds a non-finite number: {exc}") from None
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite number: {exc}") from None
     path = _resolve_out(args.out)
     if path is None:
         sys.stdout.write(text)

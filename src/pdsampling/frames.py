@@ -74,8 +74,10 @@ def analysis(spec: KernelSpec, s: SampleSet, f) -> np.ndarray:
 
 
 def synthesis(spec: KernelSpec, s: SampleSet, coefficients) -> CoefficientFunction:
-    """Adjoint of the sample map: coefficients to a kernel combination."""
+    """Adjoint of the sample map: finite coefficients to a kernel combination."""
     coefficients = tuple(float(c) for c in coefficients)
+    if not all(map(math.isfinite, coefficients)):
+        raise ValidationError("coefficients must be finite")
     return CoefficientFunction(spec, s, coefficients)
 
 

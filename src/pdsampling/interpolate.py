@@ -65,10 +65,13 @@ def spline_interpolant(
     """Minimal-energy interpolant through (x_j, y_j).
 
     The linear spline is the energy minimizer among all absolutely continuous
-    interpolants, so its energy decides admissibility against the budget.
+    interpolants, so its energy decides admissibility against the budget,
+    which must be non-negative (inf, the default, admits every interpolant).
     The norm here is accumulated compensated, term by term, independently of
     the vectorized path in cm_norm_sq.
     """
+    if not finiteness_budget >= 0.0:
+        raise ValidationError(f"finiteness budget must be non-negative, got {finiteness_budget}")
     y = tuple(float(v) for v in y)
     if len(y) != len(x):
         raise ValidationError(f"{len(y)} values for {len(x)} sample points")

@@ -209,9 +209,6 @@ class SampleSet:
             raise ValidationError(f"prefix length {n} outside 1..{len(self.points)}")
         return SampleSet(self.points[:n])
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
-
 
 def check_domain(spec: KernelSpec, xs) -> np.ndarray:
     """The point or points xs as a float64 array, each checked against the kernel's domain.

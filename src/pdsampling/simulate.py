@@ -8,8 +8,10 @@ paths and the truncated covariance sum_k Phi_k(s) Phi_k(t) are computed in
 closed form; truncation costs at most 2^-(depth+2) of variance uniformly in
 t, inside the 2^-(depth+1) budget documented here.
 
-The bridge is B_t - t B_1, which shares the bridge covariance min(s,t) - st
-with the time-changed construction but needs no unbounded time domain.
+The bridge is the same Schauder series without its ramp column t Z_0.  Every
+other antiderivative vanishes at t = 1, so this is B_t - t B_1 of the same
+draws: it has the bridge covariance min(s,t) - st and needs no unbounded
+time domain.
 
 Determinism: every path draws from its own counter-based substream keyed by
 (seed, path index), and each path is a fixed-order matrix-vector product, so
@@ -63,11 +65,6 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
-def basis_size(basis_depth: int) -> int:
-    """Number of basis functions: the constant plus levels 0..depth."""
-    return 2 ** (basis_depth + 1)
-
-
 def haar_antiderivative_matrix(grid, basis_depth: int) -> np.ndarray:
     """Matrix Phi with Phi[i, k] = integral from 0 to grid[i] of psi_k.
 
@@ -108,20 +105,48 @@ def truncated_variance(grid, basis_depth: int) -> np.ndarray:
     return np.sum(phi * phi, axis=1)
 
 
+def _basis(grid, basis_depth: int, kind: str) -> np.ndarray:
+    """The Brownian basis on the grid; the bridge's has its ramp column zeroed."""
+    if kind not in ("brownian", "bridge"):
+        raise ValidationError(f"unknown simulation kernel {kind!r}")
+    phi = haar_antiderivative_matrix(grid, basis_depth)
+    if kind == "bridge":
+        phi[:, 0] = 0.0
+    return phi
+
+
 def truncated_covariance(grid, basis_depth: int, kind: str = "brownian") -> np.ndarray:
     """Exact covariance matrix of the truncated synthesis on the grid.
 
-    Symmetric PSD by construction (a Gram of antiderivative rows).  For the
-    bridge the rows are first centered by their value at t = 1.
+    Symmetric PSD by construction: a Gram of basis rows, the bridge's
+    without the ramp column.
     """
-    g = _check_grid(grid)
-    phi = haar_antiderivative_matrix(g, basis_depth)
-    if kind == "bridge":
-        phi_one = haar_antiderivative_matrix([1.0], basis_depth)[0]
-        phi = phi - np.outer(g, phi_one)
-    elif kind != "brownian":
-        raise ValidationError(f"unknown simulation kernel {kind!r}")
+    phi = _basis(grid, basis_depth, kind)
     return phi @ phi.T
+
+
+def _simulate(grid, n_paths: int, basis_depth: int, seed: int, kind: str) -> PathEnsemble:
+    g = _check_grid(grid)
+    n_paths = check_int("n_paths", n_paths, 1)
+    seed = check_int("seed", seed, 0)
+    if n_paths > MAX_PATHS or n_paths * g.size > MAX_PATH_ENTRIES:
+        raise CapacityError(
+            f"{n_paths} paths on {g.size} grid points exceed the documented capacity "
+            f"of {MAX_PATHS} paths and {MAX_PATH_ENTRIES} path entries"
+        )
+    phi = _basis(g, basis_depth, kind)
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    paths = np.empty((n_paths, g.size), dtype=float)
+    for i, child in enumerate(children):
+        z = np.random.Generator(np.random.Philox(child)).standard_normal(phi.shape[1])
+        paths[i] = phi @ z
+    return PathEnsemble(
+        time_grid=tuple(g.tolist()),
+        paths=paths,
+        seed=seed,
+        basis_depth=int(basis_depth),  # integral: haar_antiderivative_matrix checked it
+        kernel_kind=kind,
+    )
 
 
 def simulate_brownian(grid, n_paths: int, basis_depth: int, seed: int) -> PathEnsemble:
@@ -131,54 +156,17 @@ def simulate_brownian(grid, n_paths: int, basis_depth: int, seed: int) -> PathEn
     paths can be regenerated independently and parallel generation agrees
     with serial bit-for-bit.
     """
-    g = _check_grid(grid)
-    n_paths = check_int("n_paths", n_paths, 1)
-    seed = check_int("seed", seed, 0)
-    if n_paths > MAX_PATHS or n_paths * g.size > MAX_PATH_ENTRIES:
-        raise CapacityError(
-            f"{n_paths} paths on {g.size} grid points exceed the documented capacity "
-            f"of {MAX_PATHS} paths and {MAX_PATH_ENTRIES} path entries"
-        )
-    phi = haar_antiderivative_matrix(g, basis_depth)
-    basis_depth = int(basis_depth)  # integral: haar_antiderivative_matrix checked it
-    n_basis = basis_size(basis_depth)
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    paths = np.empty((n_paths, g.size), dtype=float)
-    for i, child in enumerate(children):
-        z = np.random.Generator(np.random.Philox(child)).standard_normal(n_basis)
-        paths[i] = phi @ z
-    return PathEnsemble(
-        time_grid=tuple(g.tolist()),
-        paths=paths,
-        seed=seed,
-        basis_depth=basis_depth,
-        kernel_kind="brownian",
-    )
+    return _simulate(grid, n_paths, basis_depth, seed, "brownian")
 
 
 def simulate_bridge(grid, n_paths: int, basis_depth: int, seed: int) -> PathEnsemble:
-    """Ensemble of bridge paths: B_t - t B_1 from the Brownian ensemble.
+    """Ensemble of bridge paths: the Schauder series without its ramp t Z_0.
 
-    Grid values 0 and 1 come out exactly zero.  The underlying Brownian
-    draws are the same substreams the plain simulation would use for this
-    seed, whether or not 1 is on the requested grid.
+    Path i is B_t - t B_1 of the same draws the Brownian simulation makes
+    for this seed, whether or not 1 is on the grid.  Grid values 0 and 1
+    come out exactly zero.
     """
-    g = _check_grid(grid)
-    has_one = g[-1] == 1.0
-    work = g if has_one else np.append(g, 1.0)
-    base = simulate_brownian(work, n_paths, basis_depth, seed)
-    b_one = base.paths[:, -1]
-    bridge = base.paths - np.outer(b_one, work)
-    if not has_one:
-        bridge = bridge[:, :-1]
-    bridge = np.ascontiguousarray(bridge)
-    return PathEnsemble(
-        time_grid=tuple(g.tolist()),
-        paths=bridge,
-        seed=base.seed,
-        basis_depth=base.basis_depth,
-        kernel_kind="bridge",
-    )
+    return _simulate(grid, n_paths, basis_depth, seed, "bridge")
 
 
 def empirical_covariance(e: PathEnsemble, s_index: int, t_index: int) -> tuple[float, float]:

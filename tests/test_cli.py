@@ -7,12 +7,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pdsampling
-from pdsampling.cli import main, parse_point_text
+from pdsampling import NumericalError
+from pdsampling.cli import _report, main, parse_point_text
 
 
 def run(capsys, *argv):
@@ -427,6 +429,8 @@ class TestObstruct:
 
 class TestNonFiniteNumbers:
     BROWNIAN = ("--kernel", "brownian", "--points", "0.1,0.2,0.3")
+    SPLINE = ("interpolate", "--spline", "--points", "1,2", "--values", "0,1")
+    SINC_RECONSTRUCT = ("reconstruct", "--kernel", "sinc", "--points", "0..2")
 
     @pytest.mark.parametrize(
         "argv",
@@ -444,6 +448,11 @@ class TestNonFiniteNumbers:
                 "obstruct", "--kernel", "brownian", "--points", "1,2", "--t0", "0.5",
                 "--y0", "1", "--alpha", "0.1", "--weights", "inf,1",
             ),
+            (*SPLINE, "--budget", "nan", "--format", "csv"),
+            (*SPLINE, "--budget", "nan", "--format", "json"),
+            (*SPLINE, "--budget=-1"),
+            (*SINC_RECONSTRUCT, "--samples", "1,nan,0", "--t", "0.3"),
+            (*SINC_RECONSTRUCT, "--samples", "1,inf,0", "--t", "0.3"),
         ],
     )
     def test_exit_one_with_one_json_line(self, capsys, argv):
@@ -453,6 +462,11 @@ class TestNonFiniteNumbers:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "validation"
         assert "Traceback" not in err
+
+    def test_csv_header_is_strict_json(self):
+        args = SimpleNamespace(command="interpolate", out=None)
+        with pytest.raises(NumericalError, match="non-finite"):
+            _report(args, "csv", {"budget": math.nan}, "0.0,0.0\n")
 
 
 class TestMassProbe:

@@ -68,6 +68,11 @@ class TestSynthesis:
         with pytest.raises(ValidationError):
             synthesis(BM, SampleSet.of([1.0, 2.0]), [1.0])
 
+    def test_non_finite_coefficients(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                synthesis(BM, SampleSet.of([1.0, 2.0]), [1.0, bad])
+
     def test_evaluation_is_deterministic(self):
         rng = np.random.default_rng(31)
         s = SampleSet.of(sorted(rng.uniform(0.1, 9.0, 12).tolist()))

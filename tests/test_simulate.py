@@ -20,18 +20,14 @@ from pdsampling.simulate import (
     MAX_BASIS_ENTRIES,
     MAX_PATH_ENTRIES,
     MAX_PATHS,
-    basis_size,
     ensemble_to_csv,
 )
+from pdsampling import simulate
 
 GRID_65 = np.linspace(0.0, 1.0, 65)
 
 
 class TestBasis:
-    def test_size_doubles_with_depth(self):
-        assert basis_size(0) == 2
-        assert basis_size(3) == 16
-
     def test_matches_column_loop(self):
         # The basis is built one level at a time; the same arithmetic, one
         # column at a time, is the reference and must agree bit for bit.
@@ -64,6 +60,35 @@ class TestBasis:
         phi = haar_antiderivative_matrix(GRID_65, 2)
         np.testing.assert_array_equal(phi[:, 0], GRID_65)
 
+    def test_only_the_ramp_is_nonzero_at_one(self):
+        # The bridge basis is the Brownian one without its ramp column
+        # because of this identity.
+        for depth in range(21):
+            row = haar_antiderivative_matrix([1.0], depth)[0]
+            e0 = np.zeros(2 ** (depth + 1))
+            e0[0] = 1.0
+            assert row.tobytes() == e0.tobytes()
+
+    def test_each_entry_point_builds_one_basis(self, monkeypatch):
+        builds = []
+        build = simulate.haar_antiderivative_matrix
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(simulate, "haar_antiderivative_matrix", counted)
+        calls = (
+            lambda: truncated_covariance(GRID_65, 4),
+            lambda: truncated_covariance(GRID_65, 4, kind="bridge"),
+            lambda: simulate_brownian(GRID_65, 3, 4, seed=1),
+            lambda: simulate_bridge(GRID_65, 3, 4, seed=1),
+        )
+        for call in calls:
+            builds.clear()
+            call()
+            assert len(builds) == 1
+
 
 class TestTruncatedMoments:
     def test_variance_deficit_within_budget(self):
@@ -89,6 +114,19 @@ class TestTruncatedMoments:
         for s, t in ((0.25, 0.5), (0.125, 0.875), (0.5, 0.5)):
             i, j = int(s * 64), int(t * 64)
             assert abs(cov[i, j] - eval_kernel(spec, s, t)) <= 1e-14
+
+    def test_bridge_covariance_is_the_centred_rows_gram(self):
+        # The centred-rows formula is the oracle: rows of the Brownian basis
+        # minus t times the row at t = 1.
+        rng = np.random.default_rng(89)
+        grids = [GRID_65, np.sort(rng.uniform(0.0, 1.0, 30)), np.linspace(0.0, 0.75, 13)]
+        for g in grids:
+            for depth in (0, 1, 4, 10):
+                phi = haar_antiderivative_matrix(g, depth)
+                phi_one = haar_antiderivative_matrix([1.0], depth)[0]
+                centred = phi - np.outer(g, phi_one)
+                got = truncated_covariance(g, depth, kind="bridge")
+                assert got.tobytes() == (centred @ centred.T).tobytes()
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(83)
@@ -160,6 +198,17 @@ class TestBridgePaths:
         e = simulate_bridge(GRID_65, 20000, 10, seed=13)
         est, se = empirical_covariance(e, 16, 32)
         assert abs(est - 0.125) <= 5 * se
+
+    def test_is_brownian_minus_ramp_of_same_draws(self):
+        rng = np.random.default_rng(97)
+        random_grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 63)), [1.0]))
+        for g in (GRID_65, random_grid):
+            b = simulate_brownian(g, 20000, 10, seed=41)
+            e = simulate_bridge(g, 20000, 10, seed=41)
+            want = b.paths - np.outer(b.paths[:, -1], g)
+            assert np.max(np.abs(e.paths - want)) <= 1e-12
+            assert np.all(e.paths[:, 0] == 0.0)
+            assert np.all(e.paths[:, -1] == 0.0)
 
     def test_seed_determinism(self):
         a = simulate_bridge(GRID_65, 30, 6, seed=17)
@@ -263,6 +312,5 @@ class TestCapacity:
         assert n_paths <= MAX_PATHS
         with pytest.raises(CapacityError):
             simulate_brownian(GRID_65, n_paths, 2, seed=1)
-        # The bridge adds t = 1 to a grid without it: 64 + 1 points.
         with pytest.raises(CapacityError):
-            simulate_bridge(GRID_65[:-1], n_paths, 2, seed=1)
+            simulate_bridge(GRID_65, n_paths, 2, seed=1)
