@@ -11,6 +11,8 @@ Point syntax, shared by every list flag (points, grids, values, samples,
 weights): `a..b` is an inclusive integer range, `start:stop:step` a real
 grid (the step must tile the interval exactly), `v1,v2,...` an inline list,
 a bare number a singleton, and anything else is read as a numeric CSV file.
+A range expression, or `--integers R`, asking for more than MAX_POINTS points
+exits 2 before its list is built.
 The path of an existing file is read as a file before any of the other
 syntaxes is tried, so a relative path such as `../pts.csv` is not taken
 for an integer range.
@@ -25,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_int
+from .errors import CapacityError, NumericalError, ValidationError, check_int
 from .frames import frame_report_json, parseval_defect, reconstruct
 from .gram import build_gram, gram_report, gram_to_csv
 from .interpolate import _ridge_fit, obstruction_probe, plf_to_csv, spline_interpolant
@@ -42,6 +44,9 @@ from .simulate import (
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "PDSAMPLING_OUT_DIR"
 GRID_STEP_RTOL = 1e-9
+# Points one range expression (a..b, start:stop:step, --integers R) may ask
+# for, checked from the count before the list is built: 8 MiB of doubles.
+MAX_POINTS = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +76,14 @@ def _read_numeric_csv(path: str) -> list[list[float]]:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
+def _check_point_count(text: str, count) -> None:
+    """CapacityError when a range expression asks for more than MAX_POINTS points."""
+    if count > MAX_POINTS:
+        raise CapacityError(
+            f"{text!r} asks for more points than the documented ceiling {MAX_POINTS}"
+        )
+
+
 def parse_point_text(text: str) -> list[float]:
     """Resolve a point expression to an explicit list of reals."""
     text = text.strip()
@@ -83,9 +96,12 @@ def parse_point_text(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValidationError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (_parse_number(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValidationError(f"range must have finite start, stop and step, got {text!r}")
         if not step > 0:
             raise ValidationError(f"range step must be positive, got {step}")
         span = stop - start
+        _check_point_count(text, span / step + 1)
         n = round(span / step)
         if n < 1 or abs(start + n * step - stop) > GRID_STEP_RTOL * max(1.0, abs(stop)):
             raise ValidationError(
@@ -102,6 +118,7 @@ def parse_point_text(text: str) -> list[float]:
             ) from None
         if hi < lo:
             raise ValidationError(f"empty integer range {text!r}")
+        _check_point_count(text, hi - lo + 1)
         return [float(v) for v in range(lo, hi + 1)]
     if "," in text:
         return [_parse_number(p) for p in text.split(",") if p.strip()]
@@ -181,6 +198,7 @@ def _cmd_frame_check(args) -> int:
         raise ValidationError("give exactly one of --points or --integers")
     if args.integers is not None:
         radius = check_int("--integers radius", args.integers, 1)
+        _check_point_count(f"--integers {radius}", 2 * radius + 1)
         points = [float(v) for v in range(-radius, radius + 1)]
     else:
         points = parse_point_text(args.points)

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtpsv
+from scipy.linalg.blas import dsyrk, dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from .errors import CapacityError, SingularMatrixError, ValidationError, check_int
 from .kernels import KernelSpec, SampleSet, kernel_values, validate_sample_set
@@ -48,6 +49,13 @@ PASCAL_CAPACITY = 60
 # C(2x, x) at the last point, is below the double maximum at x = 514 and
 # above it at x = 515, so no entry needs computing to decide the overflow.
 BINOMIAL_GRAM_MAX_POINT = 514
+
+# Entries of one Gram matrix, checked before any is computed: 128 MiB of
+# doubles, the same ceiling as simulate's basis and path matrices.
+MAX_GRAM_ENTRIES = 2**24
+
+# Rows per cholesky_factor block; fixed, so no BLAS call's shape depends on n.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -77,11 +85,16 @@ def build_gram(spec: KernelSpec, s: SampleSet) -> GramMatrix:
 
     One block evaluation over the validated points; the kernels are
     symmetric entry by entry (see kernels), so no triangle is mirrored here.
-    Binomial entries are kept exact in `exact_entries`; a binomial Gram with
-    an entry past the double range raises CapacityError before any entry is
-    computed.
+    Binomial entries are kept exact in `exact_entries`.  A Gram with more
+    than MAX_GRAM_ENTRIES entries, or a binomial Gram with an entry past the
+    double range, raises CapacityError before any entry is computed.
     """
     a = validate_sample_set(spec, s)
+    if a.size**2 > MAX_GRAM_ENTRIES:
+        raise CapacityError(
+            f"Gram over {a.size} points has more entries than the documented ceiling "
+            f"{MAX_GRAM_ENTRIES}"
+        )
     if spec.kind == "binomial" and a[-1] > BINOMIAL_GRAM_MAX_POINT:
         raise CapacityError(
             f"binomial Gram over {len(s)} points has entries beyond the double range "
@@ -106,54 +119,65 @@ def check_positive_definite(spec: KernelSpec, s: SampleSet, tol: float):
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = a, or SingularMatrixError.
 
-    Row by row ("bordered"): row j is the forward solve
-    r = L[:j, :j]^-1 a[j, :j] followed by the pivot a[j, j] - r.r, so the
-    failing pivot index is visible.  Row j reads only a[j, :j+1] and the rows
-    before it, which makes the factorization prefix-consistent: the factor of
-    a[:n, :n] is bit for bit the leading n x n block of the factor of a, and
-    a singular a raises at the first index whose prefix fails on its own.
-    Nested-prefix probes rely on this to read every prefix off one factor.
+    a must be a finite square 2-D array (ValidationError otherwise); only its
+    lower triangle enters L.  Rows are factored in blocks J = [j0, j0 + 32),
+    j0 = 32k, at fixed boundaries: one dtrsm X = a[J, :j0] L[:j0, :j0]^-T
+    against the finished rows, one dsyrk S = a[J, J] - X X^T and one dpotrf
+    of S.  The last block is padded to 32 rows with identity rows, so each
+    BLAS and LAPACK call for block k has one shape whatever the order of a,
+    and no entry of row j reads a later row.  The factorization is therefore
+    prefix-consistent: the factor of a[:n, :n] is bit for bit the leading
+    n x n block of the factor of a, and a singular a raises at the first
+    index whose prefix fails on its own.  Nested-prefix probes rely on this
+    to read every prefix off one factor.  LAPACK potrf over the whole matrix
+    is not prefix-consistent: its blocking takes its shapes from the order,
+    so a pivot near the floor can pass in the full matrix and fail in a prefix.
 
-    Rows are stored packed, one after another, so every leading block is a
-    contiguous prefix of the buffer and each forward solve is one BLAS
-    packed triangular solve (dtpsv) without copying; the buffer has room for
-    the full matrix and is unpacked in place at the end.  A column-oriented
-    loop or LAPACK potrf is not prefix-consistent: its rounding depends on
-    the matrix order through row-count-sized or blocked BLAS kernels, so a
-    pivot near the floor can pass in the full matrix and fail in a prefix.
-    On the binomial Gram over 0..40, which is exactly Pascal Pascal^T with
-    unit pivots, a column loop passes pivot 29 as 64 while the 30-point
-    prefix alone fails there with -176; potrf (OpenBLAS) fails at 29 on
-    both, with pivots -56 and -176.
+    Pivots are checked against PIVOT_FLOOR after each block's dpotrf, which
+    alone accepts pivots in (0, PIVOT_FLOOR] and may let a NaN through.  The
+    binomial Gram over 0..40 is exactly Pascal Pascal^T with unit pivots, but
+    its float entries are exact only over 0..28: it fails at pivot 29 with
+    -176, in the full matrix and in the 30-point prefix alike.
+
+    L is kept and returned column-major (Fortran order): the BLAS wrappers
+    copy L[:j0, :j0] for each block's dtrsm, and from column-major storage
+    that copy is a plain one rather than a transpose.
 
     No jitter is ever added; callers wanting Tikhonov damping must add it
     explicitly.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"matrix to factor must be square and 2-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix to factor must be finite")
     n = a.shape[0]
-    # Row j of L is packed at buf[j(j+1)/2 : (j+1)(j+2)/2]; read column-wise,
-    # the packed rows are L^T packed as an upper triangle, hence trans=1.
-    # Row 0 has nothing to solve, and dtpsv rejects an empty vector.
-    buf = np.zeros(n * n)
-    for j in range(n):
-        start = j * (j + 1) // 2
-        r = dtpsv(j, buf[:start], a[j, :j], trans=1) if j else a[j, :0]
-        d = a[j, j] - r @ r
-        if not d > PIVOT_FLOOR:
+    low = np.zeros((-(-n // _BLOCK) * _BLOCK,) * 2, order="F")
+    for j0 in range(0, n, _BLOCK):
+        j1 = j0 + _BLOCK
+        rows = a[j0:j1, :j1]
+        if j1 > n:
+            rows = np.eye(_BLOCK, j1, j0)
+            rows[:n - j0, :n] = a[j0:]
+        s = rows[:, j0:]
+        if j0:
+            x = dtrsm(1.0, low[:j0, :j0], rows[:, :j0], side=1, lower=1, trans_a=1)
+            s = dsyrk(-1.0, x, beta=1.0, c=s, lower=1)
+            low[j0:j1, :j0] = x
+        c, info = dpotrf(s, lower=1)
+        pivots = np.diagonal(c)[:n - j0] ** 2
+        if info:
+            pivots[info - 1] = c[info - 1, info - 1]  # potrf leaves it unrooted
+        failed = ~(pivots > PIVOT_FLOOR)
+        if failed.any():
+            j = j0 + int(np.argmax(failed))
             raise SingularMatrixError(
-                f"matrix is singular or indefinite: pivot {d:.3e} at index {j} "
+                f"matrix is singular or indefinite: pivot {pivots[j - j0]:.3e} at index {j} "
                 f"(floor {PIVOT_FLOOR:.0e})",
                 pivot_index=j,
             )
-        buf[start:start + j] = r
-        buf[start + j] = math.sqrt(d)
-    # Unpack in place, last row first: row j moves out to j*n, which lies
-    # past every row still packed before it, and its upper part is cleared.
-    for j in range(n - 1, -1, -1):
-        start = j * (j + 1) // 2
-        buf[j * n:j * n + j + 1] = buf[start:start + j + 1].copy()
-        buf[j * n + j + 1:(j + 1) * n] = 0.0
-    return buf.reshape(n, n)
+        low[j0:j1, j0:j1] = c
+    return np.asfortranarray(low[:n, :n])
 
 
 def cholesky_solve(a: np.ndarray, rhs) -> np.ndarray:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import pdsampling
-from pdsampling import NumericalError
-from pdsampling.cli import _report, main, parse_point_text
+from pdsampling import CapacityError, NumericalError, ValidationError
+from pdsampling.cli import MAX_POINTS, _report, main, parse_point_text
 
 
 def run(capsys, *argv):
@@ -59,6 +59,75 @@ class TestPointText:
         assert parse_point_text("../pts.csv") == [1.0, 2.0]
         doc = run_json(capsys, "gram", "--kernel", "brownian", "--points", "../pts.csv")
         assert doc["points"] == [1.0, 2.0]
+
+
+class TestPointCeiling:
+    """Range expressions are sized from their count before any list is built."""
+
+    @pytest.fixture
+    def ranges(self, monkeypatch):
+        """Record the cli module's range() calls and hand back empty ranges."""
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return []
+
+        monkeypatch.setattr(pdsampling.cli, "range", record, raising=False)
+        return calls
+
+    def test_integer_range(self, ranges):
+        assert parse_point_text(f"1..{MAX_POINTS}") == []
+        assert ranges == [(1, MAX_POINTS + 1)]
+        for text in (f"0..{MAX_POINTS}", f"-{MAX_POINTS}..0", f"0..{10**400}"):
+            with pytest.raises(CapacityError, match="documented ceiling"):
+                parse_point_text(text)
+        assert len(ranges) == 1
+
+    def test_step_range(self, ranges):
+        assert parse_point_text(f"0:{MAX_POINTS - 1}:1") == [MAX_POINTS - 1.0]
+        assert ranges == [(MAX_POINTS - 1,)]
+        for text in (f"0:{MAX_POINTS}:1", "0:1:1e-320", "0:1e300:1e-300"):
+            with pytest.raises(CapacityError, match="documented ceiling"):
+                parse_point_text(text)
+        assert len(ranges) == 1
+
+    @pytest.mark.parametrize("text", ["nan:1:0.5", "0:inf:1", "0:1:inf", "-inf:0:1"])
+    def test_step_range_must_be_finite(self, text):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_point_text(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "--kernel", "sinc", "--points", f"0..{MAX_POINTS}"],
+            ["gram", "--kernel", "sinc", "--points", f"0:{MAX_POINTS}:1"],
+            ["frame-check", "--kernel", "sinc", "--integers", f"{MAX_POINTS // 2}", "--grid", "0"],
+        ],
+    )
+    def test_oversized_range_exits_two_before_building(self, capsys, ranges, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "numerical"
+        assert ranges == []
+
+    def test_oversized_gram_exits_two_before_any_entry(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Gram entries computed past the entry ceiling")
+
+        monkeypatch.setattr(pdsampling.gram, "kernel_values", refuse)
+        code, out, err = run(capsys, "gram", "--kernel", "sinc", "--points", "0..4096")
+        assert code == 2
+        assert out == ""
+        assert "4097 points" in json.loads(err)["message"]
+
+    def test_nan_step_range_exits_one(self, capsys):
+        code, out, err = run(capsys, "gram", "--kernel", "sinc", "--points", "nan:1:0.5")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
 
 
 class TestKernelEval:

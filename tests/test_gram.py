@@ -24,7 +24,12 @@ from pdsampling import (
     pascal_inverse,
     pascal_lower,
 )
-from pdsampling.gram import BINOMIAL_GRAM_MAX_POINT, cholesky_factor, gram_to_csv
+from pdsampling.gram import (
+    BINOMIAL_GRAM_MAX_POINT,
+    MAX_GRAM_ENTRIES,
+    cholesky_factor,
+    gram_to_csv,
+)
 
 
 def random_increasing(rng, n, lo, hi):
@@ -79,6 +84,15 @@ class TestBuildGram:
         assert g.entries[1, 1] == float(math.comb(2 * x, x))
         with pytest.raises(CapacityError, match=rf"C\({2 * x + 2}, {x + 1}\)"):
             build_gram(KernelSpec.binomial(), SampleSet.of([0, x + 1]))
+
+    def test_entry_ceiling_decided_before_any_entry(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Gram entries computed past the entry ceiling")
+
+        assert MAX_GRAM_ENTRIES == 2**24
+        monkeypatch.setattr(pdsampling.gram, "kernel_values", refuse)
+        with pytest.raises(CapacityError, match="4097 points"):
+            build_gram(KernelSpec.sinc(), SampleSet.of(range(4097)))
 
     def test_entries_frozen(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0]))
@@ -135,6 +149,35 @@ class TestSolveSpd:
         with pytest.raises(SingularMatrixError) as info:
             cholesky_factor(a)
         assert info.value.pivot_index == 1
+
+
+class TestCholeskyFactorInput:
+    @pytest.fixture(autouse=True)
+    def no_lapack(self, monkeypatch):
+        """Every case must be rejected before any BLAS or LAPACK call."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("BLAS called on rejected input")
+
+        for name in ("dtrsm", "dsyrk", "dpotrf"):
+            monkeypatch.setattr(pdsampling.gram, name, refuse)
+
+    def test_not_square(self):
+        with pytest.raises(ValidationError, match=r"\(2, 3\)"):
+            cholesky_factor(np.eye(2, 3))
+
+    def test_not_two_dimensional(self):
+        with pytest.raises(ValidationError, match=r"\(3,\)"):
+            cholesky_factor(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_not_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            cholesky_factor([[bad]])
+        a = np.eye(40)
+        a[35, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            cholesky_factor(a)
 
 
 class TestDeterminants:

@@ -1,16 +1,23 @@
-"""Prefix consistency of the bordered Cholesky factor and the one-factor probes.
+"""Prefix consistency of the blocked Cholesky factor and the one-factor probes.
 
 The nested-prefix probes read every prefix off a single factorization, which
 is exact only if the factor of a[:n, :n] is the leading block of the factor
-of a, and a singular a fails where its first failing prefix does.  These
-properties pin that down on random Brownian, bridge and jittered-sinc Grams,
-and compare both probe sequences with a per-prefix solve.
+of a, and a singular a fails where its first failing prefix does.  The factor
+works in 32-row blocks at fixed boundaries, the last one padded with identity
+rows, so every BLAS call for a block has one shape whatever the order.  The
+properties pin this down on random Brownian, bridge and jittered-sinc Grams
+and compare both probe sequences with a per-prefix solve; the deterministic
+tests below cross several block boundaries (n = 31, 32, 33, 64, 65, ...) and
+put singular pivots past the first block.
 """
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from pdsampling import (
     KernelSpec,
@@ -22,6 +29,7 @@ from pdsampling import (
     membership_probe,
     projection_norm_sequence,
 )
+from pdsampling.gram import PIVOT_FLOOR
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 JITTER = 0.2
@@ -88,6 +96,51 @@ def test_singular_pivot_is_first_failing_prefix(case, data):
             with pytest.raises(SingularMatrixError) as info:
                 cholesky_factor(prefix)
             assert info.value.pivot_index == j, n
+
+
+def _jittered_gram(kind: str, n: int, seed: int) -> np.ndarray:
+    offsets = np.random.default_rng(seed).uniform(-JITTER, JITTER, n)
+    return build_gram(KernelSpec(kind), SampleSet.of(_points(kind, offsets))).entries
+
+
+@pytest.mark.parametrize("kind", ["brownian", "bridge", "sinc"])
+def test_every_prefix_across_block_boundaries_is_leading_block(kind):
+    a = _jittered_gram(kind, 130, seed=130)
+    full = cholesky_factor(a)
+    np.testing.assert_allclose(full @ full.T, a, rtol=0, atol=1e-12)
+    for n in range(1, 131):
+        assert _bits(cholesky_factor(np.array(a[:n, :n]))) == _bits(full[:n, :n]), n
+
+
+@pytest.mark.parametrize("j", [32, 33, 63, 64, 65, 69])
+def test_pivot_below_floor_past_first_block_raises_at_its_index(j):
+    """A pivot in (0, PIVOT_FLOOR] that LAPACK potrf alone accepts is rejected at j."""
+    # Brownian Gram on 1..70, min(i, j) + 1: unit pivots, exact integer arithmetic.
+    idx = np.arange(70.0)
+    a = np.minimum.outer(idx, idx) + 1.0
+    a[j, j] -= 1.0 - 1e-13
+    assert dpotrf(a[: j + 1, : j + 1], lower=1)[1] == 0
+    for n in (j + 1, 70):
+        with pytest.raises(SingularMatrixError) as info:
+            cholesky_factor(a[:n, :n])
+        assert info.value.pivot_index == j
+        pivot = float(re.search(r"pivot (\S+) at index", str(info.value)).group(1))
+        assert 0.0 < pivot <= PIVOT_FLOOR
+    cholesky_factor(a[:j, :j])
+
+
+@pytest.mark.parametrize("kind", ["brownian", "bridge", "sinc"])
+@pytest.mark.parametrize("m", [31, 32, 40, 63, 64, 90])
+def test_near_duplicate_in_later_block_fails_at_next_index(kind, m):
+    offsets = np.random.default_rng(m).uniform(-JITTER, JITTER, 100)
+    pts = _points(kind, offsets)
+    pts.insert(m + 1, pts[m] + 1e-13 * max(1.0, abs(pts[m])))
+    a = build_gram(KernelSpec(kind), SampleSet.of(pts)).entries
+    for n in range(m + 2, len(pts) + 1):
+        with pytest.raises(SingularMatrixError) as info:
+            cholesky_factor(np.array(a[:n, :n]))
+        assert info.value.pivot_index == m + 1, n
+    cholesky_factor(np.array(a[: m + 1, : m + 1]))
 
 
 @PROPERTY
