@@ -5,14 +5,19 @@ matrix/sequence/path payloads) that echoes the fully resolved configuration,
 so the identical computation can be replayed from the report alone.  Exit
 status 0 means success, 1 a validation or domain error, 2 a numerical
 failure (singular Gram, capacity); either failure prints a one-line JSON
-object on stderr.
+object on stderr.  A command runs with numpy's overflow, division and
+invalid-operation errors and every RuntimeWarning raised, so a floating-point
+failure anywhere in it exits 2 with that one line rather than printing a
+warning first; underflow is left silent, since the sinc kernel's Taylor
+branch underflows by design.
 
 Point syntax, shared by every list flag (points, grids, values, samples,
 weights): `a..b` is an inclusive integer range, `start:stop:step` a real
 grid (the step must tile the interval exactly), `v1,v2,...` an inline list,
 a bare number a singleton, and anything else is read as a numeric CSV file.
 A range expression, or `--integers R`, asking for more than MAX_POINTS points
-exits 2 before its list is built.
+exits 2 before its list is built, and so does a CSV file once it has held
+more than MAX_POINTS cells.
 The path of an existing file is read as a file before any of the other
 syntaxes is tried, so a relative path such as `../pts.csv` is not taken
 for an integer range.
@@ -24,6 +29,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -67,10 +73,13 @@ def _read_numeric_csv(path: str) -> list[list[float]]:
     try:
         with open(path, newline="") as fh:
             rows = []
+            cells = 0
             for row in csv.reader(fh):
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 rows.append([_parse_number(cell) for cell in row if cell.strip()])
+                cells += len(rows[-1])
+                _check_point_count(path, cells)
             return rows
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
@@ -332,6 +341,8 @@ def _cmd_mass_probe(args) -> int:
 
 def _cmd_simulate(args) -> int:
     fmt = _check_format(args.format, ("csv", "json"))
+    if fmt == "json" and args.paths < 2:
+        raise ValidationError("covariance needs at least two paths")
     if args.kernel not in ("brownian", "bridge"):
         raise ValidationError(
             f"simulate supports kernels brownian and bridge, got {args.kernel!r}"
@@ -352,16 +363,19 @@ def _cmd_simulate(args) -> int:
         return _report(args, fmt, fields, ensemble_to_csv(e))
     mean = [float(v) for v in e.paths.mean(axis=0)]
     var = [float(v) for v in e.paths.var(axis=0, ddof=1)]
-    exact = truncated_covariance(grid, args.depth, kind=args.kernel)
     m = len(grid)
     idx = sorted({m // 4, m // 2, (3 * m) // 4})
-    pairs = [(a, b) for k, a in enumerate(idx) for b in idx[k:]]
     # The grid is checked against [0, 1], where both kernels are defined.
-    g = np.asarray(grid)
+    # Only the probe points enter the exact covariance: the grid's full
+    # matrix has the same entries but can be far too large to build.
+    probe = np.asarray(grid)[idx]
+    exact = truncated_covariance(probe, args.depth, kind=args.kernel)
+    pairs = [(a, b) for a in range(len(idx)) for b in range(a, len(idx))]
     rows, cols = np.array(pairs).T
-    kernel = kernel_values(KernelSpec(args.kernel), g[rows], g[cols]).tolist()
+    kernel = kernel_values(KernelSpec(args.kernel), probe[rows], probe[cols]).tolist()
     checks = []
-    for (i, j), kernel_value in zip(pairs, kernel):
+    for (a, b), kernel_value in zip(pairs, kernel):
+        i, j = idx[a], idx[b]
         est, se = empirical_covariance(e, i, j)
         checks.append(
             {
@@ -369,7 +383,7 @@ def _cmd_simulate(args) -> int:
                 "t": grid[j],
                 "empirical": est,
                 "std_error": se,
-                "exact_truncated": float(exact[i, j]),
+                "exact_truncated": float(exact[a, b]),
                 "kernel_value": kernel_value,
             }
         )
@@ -454,13 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(
             json.dumps({"error": "validation", "message": str(exc)}) + "\n"
         )
         return 1
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError, OverflowError, RuntimeWarning) as exc:
         sys.stderr.write(
             json.dumps({"error": "numerical", "message": str(exc)}) + "\n"
         )

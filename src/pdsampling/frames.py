@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
-from .gram import GramMatrix, build_gram, cholesky_factor, cholesky_solve
+from .errors import CapacityError, SingularMatrixError, ValidationError
+from .gram import MAX_GRAM_ENTRIES, GramMatrix, build_gram, cholesky_factor, cholesky_solve
 from .kernels import KernelSpec, SampleSet, check_domain, kernel_values, validate_sample_set
 
 
@@ -147,12 +147,19 @@ def parseval_defect(
     given, it must be finite and non-negative, and a tail bound above it is
     rejected.  The eigenvalue-based frame bounds run only when
     include_bounds is set, since they cost a dense symmetric eigensolve.
+    A block of more than MAX_GRAM_ENTRIES entries raises CapacityError
+    before it is built.
     """
     grid = [float(t) for t in grid]
     if not grid:
         raise ValidationError("probe grid must contain at least one point")
     if tail_budget is not None and not 0.0 <= tail_budget < math.inf:
         raise ValidationError(f"tail budget must be finite and non-negative, got {tail_budget}")
+    if len(grid) * len(s) > MAX_GRAM_ENTRIES:
+        raise CapacityError(
+            f"{len(grid)} x {len(s)} Parseval block has more entries than the documented "
+            f"ceiling {MAX_GRAM_ENTRIES}"
+        )
     g = check_domain(spec, grid)
     block = kernel_values(spec, g[:, None], check_domain(spec, s.points)[None, :])
     block *= block

@@ -129,9 +129,12 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     prefix-consistent: the factor of a[:n, :n] is bit for bit the leading
     n x n block of the factor of a, and a singular a raises at the first
     index whose prefix fails on its own.  Nested-prefix probes rely on this
-    to read every prefix off one factor.  LAPACK potrf over the whole matrix
-    is not prefix-consistent: its blocking takes its shapes from the order,
-    so a pivot near the floor can pass in the full matrix and fail in a prefix.
+    to read every prefix off one factor; on a singular a, the truncation
+    route of massprobe.probe_report reads the longest prefix that factors
+    off the same factor pass (_factor_prefix).  LAPACK potrf over the whole
+    matrix is not prefix-consistent: its blocking takes its shapes from the
+    order, so a pivot near the floor can pass in the full matrix and fail in
+    a prefix.
 
     Pivots are checked against PIVOT_FLOOR after each block's dpotrf, which
     alone accepts pivots in (0, PIVOT_FLOOR] and may let a NaN through.  The
@@ -145,6 +148,21 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
 
     No jitter is ever added; callers wanting Tikhonov damping must add it
     explicitly.
+    """
+    lower, error = _factor_prefix(a)
+    if error is not None:
+        raise error
+    return lower
+
+
+def _factor_prefix(a) -> tuple[np.ndarray, SingularMatrixError | None]:
+    """(L, None) for cholesky_factor's L, or the finished prefix and its error.
+
+    When pivot j fails, L is the j x j leading factor, bit for bit
+    cholesky_factor(a[:j, :j]) by prefix consistency, and the error is the
+    SingularMatrixError that cholesky_factor raises, pivot_index j.  Rows
+    before a failing pivot are finished in its block's dpotrf whether or not
+    potrf stopped there.  Invalid input raises ValidationError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -165,19 +183,20 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
             s = dsyrk(-1.0, x, beta=1.0, c=s, lower=1)
             low[j0:j1, :j0] = x
         c, info = dpotrf(s, lower=1)
+        low[j0:j1, j0:j1] = c
         pivots = np.diagonal(c)[:n - j0] ** 2
         if info:
             pivots[info - 1] = c[info - 1, info - 1]  # potrf leaves it unrooted
         failed = ~(pivots > PIVOT_FLOOR)
         if failed.any():
             j = j0 + int(np.argmax(failed))
-            raise SingularMatrixError(
+            error = SingularMatrixError(
                 f"matrix is singular or indefinite: pivot {pivots[j - j0]:.3e} at index {j} "
                 f"(floor {PIVOT_FLOOR:.0e})",
                 pivot_index=j,
             )
-        low[j0:j1, j0:j1] = c
-    return np.asfortranarray(low[:n, :n])
+            return np.asfortranarray(low[:j, :j]), error
+    return np.asfortranarray(low[:n, :n]), None
 
 
 def cholesky_solve(a: np.ndarray, rhs) -> np.ndarray:

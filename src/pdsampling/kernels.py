@@ -71,8 +71,9 @@ class TabulatedTable:
 
     Construction checks once, on the whole array, that the supplied rows are
     exactly symmetric (entries compare equal), then keeps the upper triangle
-    on both sides: `values` holds the mirrored rows.  Lookups go through a
-    point-to-index dict and one read-only float matrix, built here once.
+    on both sides: `values` holds the mirrored rows.  Lookups binary-search
+    the sorted float64 points and read one read-only float matrix, both
+    built here once.
     """
 
     points: tuple[float, ...]
@@ -80,7 +81,8 @@ class TabulatedTable:
     source: str | None = None
 
     def __post_init__(self):
-        n = check_increasing("tabulated points", self.points).size
+        points = check_increasing("tabulated points", self.points)
+        n = points.size
         if len(self.values) != n or any(len(row) != n for row in self.values):
             raise ValidationError(f"tabulated table must be {n}x{n} to match its points")
         matrix = np.array(self.values, dtype=float)
@@ -97,15 +99,20 @@ class TabulatedTable:
             object.__setattr__(self, "values", tuple(map(tuple, mirrored.tolist())))
         mirrored.flags.writeable = False
         object.__setattr__(self, "_matrix", mirrored)
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        points.flags.writeable = False
+        object.__setattr__(self, "_points", points)
 
     def lookup(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Table values at broadcast arrays of tabulated points."""
-        return self._matrix[self._indices(s), self._indices(t)]
+        return self._matrix[self._positions(s), self._positions(t)]
 
-    def _indices(self, a: np.ndarray) -> np.ndarray:
-        index = self._index
-        return np.array([index[v] for v in a.ravel().tolist()], dtype=np.intp).reshape(a.shape)
+    def _positions(self, a: np.ndarray) -> np.ndarray:
+        """Binary-search index of each point of a, clipped to the last point.
+
+        A point is tabulated exactly when the table point at its index
+        equals it (-0.0 finds 0.0); check_domain tests that equality.
+        """
+        return np.minimum(np.searchsorted(self._points, a), self._points.size - 1)
 
     @classmethod
     def from_rows(cls, points, rows, source=None) -> "TabulatedTable":
@@ -226,8 +233,7 @@ def check_domain(spec: KernelSpec, xs) -> np.ndarray:
         ok = (a >= 0) & (a == np.floor(a))
         rule = "binomial kernel requires non-negative integer arguments, got {!r}"
     elif spec.kind == "tabulated":
-        index = spec.table._index
-        ok = np.array([v in index for v in a.ravel().tolist()], dtype=bool).reshape(a.shape)
+        ok = spec.table._points[spec.table._positions(a)] == a
         rule = "point {!r} is not in the tabulated point set"
     else:  # sinc: any finite real
         ok, rule = finite, None

@@ -12,7 +12,7 @@ and bridge kernels stabilize after one extra neighbor (closed forms below);
 the binomial kernel diverges for every target, and the probe machinery is
 generic enough to report either behavior with the closed forms as oracles.
 
-Every prefix is read off one factorization.  The Cholesky factor L of the
+Every prefix is read off one factor pass.  The Cholesky factor L of the
 full Gram is prefix-consistent (gram.cholesky_factor), so L[:n, :n] is the
 factor of K_n and
 
@@ -26,7 +26,9 @@ is the closed form sum C(k,x)^2 term by term.  The float binomial Gram
 equals the exact one only over the points 0..28, since C(57,28) > 2^53; on
 0..N with N > 28 the factorization fails at pivot 29, probe_report ends the
 sequence after 29 entries with a diverging verdict, and closed_form still
-gives the sum for the requested prefix.
+gives the sum for the requested prefix.  Those 29 entries are read off the
+finished 29 x 29 leading factor that the failed pass hands back
+(gram._factor_prefix); the Gram is factored once per report.
 """
 
 from dataclasses import dataclass
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import SingularMatrixError, ValidationError, check_int
-from .gram import build_gram, cholesky_factor
+from .errors import ValidationError, check_int
+from .gram import _factor_prefix, build_gram, cholesky_factor
 from .kernels import KernelSpec, SampleSet, binom, validate_sample_set
 
 REL_INCREMENT_THRESHOLD = 1e-10
@@ -75,20 +77,20 @@ def _probe_prefix(spec: KernelSpec, v: SampleSet, x_index, n_max) -> tuple[Sampl
     return v.prefix(n_max), check_int("x_index", x_index, 0, n_max)
 
 
-def _delta_norms(entries: np.ndarray, x_index: int) -> list[float]:
-    """q_1..q_n for the Gram entries, from one factorization.
+def _delta_norms(lower: np.ndarray, x_index: int, k_xx: float) -> list[float]:
+    """q_1..q_n off the Cholesky factor of the n-point Gram.
 
     w = L^-1 e_x vanishes above x; the entries before x are set to exactly 0
     rather than read off w.  For x = 0 the n = 1 entry is the literal
-    reciprocal 1/K(x,x) rather than (1/L_00)^2, so the 1x1 inverse is exact.
+    reciprocal 1/k_xx of the Gram diagonal K(x,x) rather than (1/L_00)^2, so
+    the 1x1 inverse is exact.
     """
-    lower = cholesky_factor(entries)
-    e = np.zeros(len(entries))
+    e = np.zeros(len(lower))
     e[x_index] = 1.0
     w = solve_triangular(lower, e, lower=True)[x_index:]
     terms = w * w
     if x_index == 0:
-        terms[0] = 1.0 / entries[0, 0]
+        terms[0] = 1.0 / k_xx
     return [0.0] * x_index + np.cumsum(terms).tolist()
 
 
@@ -105,7 +107,8 @@ def projection_norm_sequence(
     singular prefix raises SingularMatrixError with its pivot index.
     """
     vp, x = _probe_prefix(spec, v, x_index, n_max)
-    return _delta_norms(build_gram(spec, vp).entries, x)
+    entries = build_gram(spec, vp).entries
+    return _delta_norms(cholesky_factor(entries), x, entries[x, x])
 
 
 def brownian_delta_norm_closed(v: SampleSet, i: int) -> float:
@@ -230,8 +233,10 @@ def probe_report(
     """Run the projection probe and wrap norms, verdict, and oracle together.
 
     A Gram that turns singular after at least one successful prefix ends the
-    sequence there with a diverging verdict (no finite mass); singular on the
-    very first prefix is an input problem and propagates.
+    sequence there with a diverging verdict (no finite mass); its norms are
+    read off the finished leading factor of the one factor pass, the factor
+    of the longest prefix that factors.  Singular at or before the target
+    index is an input problem and raises that pass's SingularMatrixError.
     """
     if n_max is None:
         n_max = len(v)
@@ -240,18 +245,14 @@ def probe_report(
     vp, x = _probe_prefix(spec, v, x_index, n_max)
     closed = _auto_closed_form(spec, vp, x)
     entries = build_gram(spec, vp).entries
-    try:
-        norms = _delta_norms(entries, x)
-    except SingularMatrixError as exc:
-        j = exc.pivot_index
-        if j is None or j <= x:
-            raise
-        # Prefix consistency: the leading j x j block is the factor of the
-        # j-point prefix, the longest one that factors.
-        norms = _delta_norms(entries[:j, :j], x)
-        verdict = Verdict(kind="diverging")
-    else:
+    lower, error = _factor_prefix(entries)
+    if error is not None and error.pivot_index <= x:
+        raise error
+    norms = _delta_norms(lower, x, entries[x, x])
+    if error is None:
         verdict = mass_verdict(norms, closed_form=closed)
+    else:
+        verdict = Verdict(kind="diverging")
     return MassProbeReport(
         kernel=spec,
         v_prefix=vp,

@@ -123,6 +123,20 @@ class TestPointCeiling:
         assert out == ""
         assert "4097 points" in json.loads(err)["message"]
 
+    def test_csv_file_cells_are_counted(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(pdsampling.cli, "MAX_POINTS", 4)
+        path = tmp_path / "pts.csv"
+        path.write_text("# header\n1,2\n3,4\n")
+        assert parse_point_text(str(path)) == [1.0, 2.0, 3.0, 4.0]
+        path.write_text("1,2\n3,4\n5\n6\n")
+        with pytest.raises(CapacityError, match="ceiling 4"):
+            parse_point_text(str(path))
+        code, out, err = run(capsys, "gram", "--kernel", "brownian", "--points", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "numerical"
+
     def test_nan_step_range_exits_one(self, capsys):
         code, out, err = run(capsys, "gram", "--kernel", "sinc", "--points", "nan:1:0.5")
         assert code == 1
@@ -708,6 +722,42 @@ class TestSimulate:
             )
 
     @pytest.mark.parametrize("kernel", ["brownian", "bridge"])
+    @pytest.mark.parametrize("grid, depth", [("0:1:0.015625", 10), ("0.25:0.75:0.125", 2), ("0.5", 3)])
+    def test_exact_covariance_over_probe_points_only(self, capsys, monkeypatch, kernel, grid, depth):
+        """The summary's exact entries come from the probe points, bit for bit the full matrix's."""
+        sizes = []
+        covariance = pdsampling.cli.truncated_covariance
+
+        def recorded(points, *args, **kwargs):
+            sizes.append(len(points))
+            return covariance(points, *args, **kwargs)
+
+        monkeypatch.setattr(pdsampling.cli, "truncated_covariance", recorded)
+        argv = ("--grid", grid, "--paths", "3", "--depth", str(depth), "--seed", "1")
+        doc = run_json(capsys, "simulate", "--kernel", kernel, *argv, "--format", "json")
+        assert len(sizes) == 1 and sizes[0] <= 3
+        points = parse_point_text(grid)
+        full = covariance(points, depth, kind=kernel)
+        for check in doc["cov_checks"]:
+            i, j = points.index(check["s"]), points.index(check["t"])
+            assert check["exact_truncated"] == float(full[i, j])
+
+    def test_json_needs_two_paths_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done before the path count was checked")
+
+        monkeypatch.setattr(pdsampling.cli, "parse_point_text", refuse)
+        monkeypatch.setattr(pdsampling.cli, "simulate_brownian", refuse)
+        argv = ("--grid", "0:1:0.25", "--paths", "1", "--depth", "2", "--seed", "1")
+        code, out, err = run(capsys, "simulate", "--kernel", "brownian", *argv, "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "validation",
+            "message": "covariance needs at least two paths",
+        }
+
+    @pytest.mark.parametrize("kernel", ["brownian", "bridge"])
     def test_kernel_value_is_the_kernel(self, capsys, kernel):
         doc = run_json(
             capsys,
@@ -753,6 +803,41 @@ class TestSimulate:
             "1",
         )
         assert code == 1
+
+
+class TestOneStderrLine:
+    """Floating-point failures exit with one JSON line and no warning before it.
+
+    Run in a subprocess: in-process, the test configuration turns numpy's
+    RuntimeWarnings into exceptions before the command could print them.
+    """
+
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (2, "interpolate --kernel brownian --points 1,2,3 --values 1e300,-1e300,1e300 --alpha 0"),
+            (2, "obstruct --kernel brownian --points 1,2,3 --t0 1.5 --y0 1e300 --alpha 1e-300"),
+            (2, "frame-check --kernel brownian --points 1e300,2e300 --grid 1e300 --bounds"),
+            (2, "reconstruct --kernel brownian --points 1,2 --samples 1e308,1e308 --t 1e308"),
+            (2, "reconstruct --kernel brownian --points 1,2 --samples 1e308,1e308 --t 1"),
+            (1, "simulate --kernel brownian --grid 0:1:0.25 --paths 1 --depth 2 --seed 1 --format json"),
+        ],
+    )
+    def test_exit_code_and_one_line(self, code, argv):
+        package_root = str(Path(pdsampling.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdsampling.cli", *argv.split()],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert json.loads(proc.stderr)["error"] == ("numerical" if code == 2 else "validation")
 
 
 class TestOutputRouting:

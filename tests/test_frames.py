@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pdsampling import (
+    CapacityError,
     KernelSpec,
     SampleSet,
     SingularMatrixError,
@@ -20,6 +21,7 @@ from pdsampling import (
     sinc_pi,
     synthesis,
 )
+from pdsampling import frames
 from pdsampling.frames import frame_report_json
 
 BM = KernelSpec.brownian()
@@ -195,6 +197,18 @@ class TestParsevalDefect:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             parseval_defect(SINC, integer_nodes(5), [])
+
+
+    def test_block_past_the_entry_ceiling_is_refused_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(frames, "MAX_GRAM_ENTRIES", 6)
+        assert parseval_defect(BM, SampleSet.of([1.0, 2.0]), [1.0, 2.0, 3.0]).parseval_defect >= 0
+
+        def refuse(*args):
+            raise AssertionError("Parseval block built past the entry ceiling")
+
+        monkeypatch.setattr(frames, "kernel_values", refuse)
+        with pytest.raises(CapacityError, match="ceiling 6"):
+            parseval_defect(BM, SampleSet.of([1.0, 2.0]), [1.0, 2.0, 3.0, 4.0])
 
 
 class TestReconstruct:

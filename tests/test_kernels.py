@@ -18,6 +18,7 @@ from pdsampling import (
     check_domain,
     check_positive_definite,
     eval_kernel,
+    kernel_matrix,
     parse_kernel,
     sinc_pi,
     truncated_variance,
@@ -253,6 +254,25 @@ class TestTabulated:
             eval_kernel(spec, 0.7, 1.0)
         with pytest.raises(DomainError):
             check_domain(spec, 9.0)
+
+    def test_searchsorted_lookup_matches_a_point_to_index_dict(self):
+        """Members, signed zero and non-members, against the dict reference."""
+        pts = (-2.0, -0.5, 0.0, 1.0, 2.5, 7.0)
+        rng = np.random.default_rng(7)
+        body = rng.standard_normal((6, 6))
+        spec = KernelSpec.tabulated(TabulatedTable.from_rows(pts, body + body.T))
+        index = {p: i for i, p in enumerate(pts)}
+        xs = np.array([7.0, -0.0, -2.0, 0.0, 2.5, -0.5, 1.0, 7.0])
+        want = [[(body + body.T)[index[a], index[b]] for b in xs.tolist()] for a in xs.tolist()]
+        assert kernel_matrix(spec, xs, xs).tolist() == want
+        assert eval_kernel(spec, -0.0, 2.5) == eval_kernel(spec, 0.0, 2.5)
+        for x in (-3.0, -1.0, 0.5, 2.0, 8.0, 1e300):
+            with pytest.raises(DomainError, match=rf"^point {re.escape(repr(x))} is not in the tabulated point set$"):
+                check_domain(spec, [0.0, x, 9.0])
+        with pytest.raises(DomainError, match="^kernel argument must be finite, got nan$"):
+            check_domain(spec, [1.0, math.nan, 0.5])
+        with pytest.raises(DomainError, match="^kernel argument must be finite, got inf$"):
+            check_domain(spec, math.inf)
 
     def test_rejects_asymmetric_body(self):
         with pytest.raises(ValidationError):

@@ -20,6 +20,7 @@ from pdsampling import (
     probe_report,
     projection_norm_sequence,
 )
+from pdsampling import massprobe
 from pdsampling.massprobe import probe_to_csv, report_json
 
 BM = KernelSpec.brownian()
@@ -272,6 +273,49 @@ class TestProbeReport:
                 assert abs(rep.norms[n - 1] - exact) <= 1e-15 * exact, (x, n)
             assert rep.verdict.kind == "diverging"
             assert rep.closed_form == float(binomial_projection_norm_closed(x, 40))
+
+    def test_one_factor_pass_per_report(self, monkeypatch):
+        """The truncated binomial report reads its prefix off the failed pass."""
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(massprobe, "_factor_prefix", counted("prefix", massprobe._factor_prefix))
+        monkeypatch.setattr(massprobe, "cholesky_factor", counted("full", massprobe.cholesky_factor))
+        rep = probe_report(BINOMIAL, SampleSet.of(list(range(41))), 3)
+        assert len(rep.norms) == 29
+        assert calls == ["prefix"]
+
+    @pytest.mark.parametrize("m", [31, 32, 33, 40, 65])
+    def test_truncated_norms_are_the_longest_prefix_sequence(self, m):
+        """A near-duplicate at index m, across block boundaries, truncates to m entries."""
+        pts = [float(k) for k in range(1, 101)]
+        pts.insert(m, pts[m - 1] + 1e-13)
+        v = SampleSet.of(pts)
+        for x in (0, m // 2, m - 1):
+            rep = probe_report(BM, v, x)
+            want = projection_norm_sequence(BM, v, x, m)
+            assert len(rep.norms) == m
+            assert np.array(rep.norms).tobytes() == np.array(want).tobytes(), x
+            assert rep.verdict.kind == "diverging"
+
+    def test_pivot_before_target_raises_the_factor_error(self):
+        pts = [float(k) for k in range(1, 21)]
+        pts.insert(3, pts[2] + 1e-13)
+        v = SampleSet.of(pts)
+        with pytest.raises(SingularMatrixError) as want:
+            cholesky_factor(build_gram(BM, v).entries)
+        with pytest.raises(SingularMatrixError) as info:
+            probe_report(BM, v, 10)
+        assert info.value.pivot_index == 3
+        assert str(info.value) == str(want.value)
+        assert str(info.value).startswith("matrix is singular or indefinite: pivot ")
+        assert str(info.value).endswith(" at index 3 (floor 1e-12)")
 
     def test_json_round_trip_fields(self):
         s = SampleSet.of([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])

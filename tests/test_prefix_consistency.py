@@ -29,7 +29,7 @@ from pdsampling import (
     membership_probe,
     projection_norm_sequence,
 )
-from pdsampling.gram import PIVOT_FLOOR
+from pdsampling.gram import PIVOT_FLOOR, _factor_prefix
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 JITTER = 0.2
@@ -96,6 +96,41 @@ def test_singular_pivot_is_first_failing_prefix(case, data):
             with pytest.raises(SingularMatrixError) as info:
                 cholesky_factor(prefix)
             assert info.value.pivot_index == j, n
+
+
+def _assert_prefix_handed_back(a: np.ndarray) -> None:
+    """_factor_prefix gives cholesky_factor's error and the factor of a[:j, :j]."""
+    with pytest.raises(SingularMatrixError) as info:
+        cholesky_factor(a)
+    j = info.value.pivot_index
+    lower, error = _factor_prefix(a)
+    assert type(error) is SingularMatrixError
+    assert (str(error), error.pivot_index) == (str(info.value), j)
+    assert lower.shape == (j, j)
+    assert _bits(lower) == _bits(cholesky_factor(np.array(a[:j, :j])))
+
+
+@PROPERTY
+@given(probe_cases(max_size=70), st.data())
+def test_failed_pass_hands_back_the_longest_prefix_factor(case, data):
+    spec, s = case
+    pts = list(s.points)
+    m = data.draw(st.integers(0, len(pts) - 1))
+    pts.insert(m + 1, pts[m] + 1e-13 * max(1.0, abs(pts[m])))
+    a = build_gram(spec, SampleSet.of(pts)).entries
+    _assert_prefix_handed_back(a)
+    full, error = _factor_prefix(a[: m + 1, : m + 1])
+    assert error is None
+    assert _bits(full) == _bits(cholesky_factor(a[: m + 1, : m + 1]))
+
+
+def test_failed_pass_hands_back_binomial_and_below_floor_prefixes():
+    _assert_prefix_handed_back(build_gram(KernelSpec.binomial(), SampleSet.of(range(41))).entries)
+    idx = np.arange(70.0)
+    for j in (0, 32, 65):
+        a = np.minimum.outer(idx, idx) + 1.0
+        a[j, j] -= 1.0 - 1e-13
+        _assert_prefix_handed_back(a)
 
 
 def _jittered_gram(kind: str, n: int, seed: int) -> np.ndarray:
