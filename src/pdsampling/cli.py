@@ -2,14 +2,18 @@
 
 Every successful run writes one machine-readable report (JSON, or CSV for
 matrix/sequence/path payloads) that echoes the fully resolved configuration,
-so the identical computation can be replayed from the report alone.  Exit
-status 0 means success, 1 a validation or domain error, 2 a numerical
+so the identical computation can be replayed from the report alone.  This
+module builds every report: the library returns its dataclasses and arrays,
+each handler turns them into a JSON payload or a list of CSV rows, and
+_report is the one writer, the only place where CSV cells are joined.
+
+Exit status 0 means success, 1 a validation or domain error, 2 a numerical
 failure (singular Gram, capacity); either failure prints a one-line JSON
 object on stderr.  A command runs with numpy's overflow, division and
 invalid-operation errors and every RuntimeWarning raised, so a floating-point
-failure anywhere in it exits 2 with that one line rather than printing a
-warning first; underflow is left silent, since the sinc kernel's Taylor
-branch underflows by design.
+failure anywhere in it, numpy's or Python's own (any ArithmeticError), exits
+2 with that one line rather than printing a warning first; underflow is left
+silent, since the sinc kernel's Taylor branch underflows by design.
 
 Point syntax, shared by every list flag (points, grids, values, samples,
 weights): `a..b` is an inclusive integer range, `start:stop:step` a real
@@ -34,14 +38,13 @@ import warnings
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError, check_int
-from .frames import frame_report_json, parseval_defect, reconstruct
-from .gram import build_gram, gram_report, gram_to_csv
-from .interpolate import _ridge_fit, obstruction_probe, plf_to_csv, spline_interpolant
+from .frames import _integer_range, parseval_defect, reconstruct
+from .gram import build_gram, det_bridge_closed, det_brownian_closed, det_lu
+from .interpolate import _ridge_fit, obstruction_probe, spline_interpolant
 from .kernels import KernelSpec, SampleSet, eval_kernel, kernel_values, parse_kernel
-from .massprobe import probe_report, probe_to_csv, report_json
+from .massprobe import probe_report
 from .simulate import (
     empirical_covariance,
-    ensemble_to_csv,
     simulate_bridge,
     simulate_brownian,
     truncated_covariance,
@@ -146,23 +149,26 @@ def _resolve_out(out: str | None) -> str | None:
     return out
 
 
-def _report(args, fmt: str, fields: dict, payload: dict | str) -> int:
+def _report(args, fmt: str, fields: dict, payload: dict | list) -> int:
     """Write the one report of a run and return exit status 0.
 
-    The configuration echoes the command, the resolved fields, the format
-    and the output path.  A dict payload is written as indented JSON after
-    the configuration; a str payload is a CSV body under one `#` header line
-    that carries the configuration as compact JSON.  Both are strict JSON: a
-    non-finite number in either raises NumericalError.
+    Every report of the package is written here.  The configuration echoes
+    the command, the resolved fields, the format and the output path.  A
+    dict payload is written as indented JSON after the configuration.  A
+    list payload holds CSV rows of Python ints and floats, each written as
+    its cells' reprs joined by commas, under one `#` header line that
+    carries the configuration as compact JSON.  The JSON of either is
+    strict: a non-finite number in it raises NumericalError.
     """
     config = {"command": args.command, **fields, "format": fmt, "out": args.out}
     try:
-        if isinstance(payload, str):
-            compact = json.dumps(config, separators=(",", ":"), allow_nan=False)
-            text = f"# schema_version={SCHEMA_VERSION} config={compact}\n{payload}"
-        else:
+        if isinstance(payload, dict):
             doc = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
             text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        else:
+            compact = json.dumps(config, separators=(",", ":"), allow_nan=False)
+            body = "".join(",".join(map(repr, row)) + "\n" for row in payload)
+            text = f"# schema_version={SCHEMA_VERSION} config={compact}\n{body}"
     except ValueError as exc:
         raise NumericalError(f"report holds a non-finite number: {exc}") from None
     path = _resolve_out(args.out)
@@ -197,8 +203,18 @@ def _cmd_gram(args) -> int:
     fmt = _check_format(args.format, ("json", "csv"))
     points = parse_point_text(args.points)
     g = build_gram(spec, SampleSet.of(points))
-    payload = gram_to_csv(g) if fmt == "csv" else gram_report(g)
-    return _report(args, fmt, {"kernel": spec.to_text(), "points": points}, payload)
+    fields = {"kernel": spec.to_text(), "points": points}
+    if fmt == "csv":
+        return _report(args, fmt, fields, g.entries.tolist())
+    closed = {"brownian": det_brownian_closed, "bridge": det_bridge_closed}.get(spec.kind)
+    payload = {
+        "order": g.order,
+        "points": list(g.sample_set.points),
+        "entries": g.entries.tolist(),
+        "det_closed": None if closed is None else closed(g.sample_set),
+        "det_lu": det_lu(g),
+    }
+    return _report(args, fmt, fields, payload)
 
 
 def _cmd_frame_check(args) -> int:
@@ -212,13 +228,14 @@ def _cmd_frame_check(args) -> int:
     else:
         points = parse_point_text(args.points)
     grid = parse_point_text(args.grid)
+    s = SampleSet.of(points)
     report = parseval_defect(
-        spec,
-        SampleSet.of(points),
-        grid,
-        tail_budget=args.tail_budget,
-        include_bounds=args.bounds,
+        spec, s, grid, tail_budget=args.tail_budget, include_bounds=args.bounds
     )
+    # "N" is the radius when the samples are exactly the integers of [-N, N],
+    # otherwise the sample count.
+    span = _integer_range(s)
+    symmetric = span is not None and span[0] < 0 and span[0] == -span[1]
     fields = {
         "kernel": spec.to_text(),
         "integers": args.integers,
@@ -227,7 +244,15 @@ def _cmd_frame_check(args) -> int:
         "tail_budget": args.tail_budget,
         "bounds": args.bounds,
     }
-    return _report(args, "json", fields, frame_report_json(report))
+    payload = {
+        "a": report.lower_bound,
+        "b": report.upper_bound,
+        "defect": report.parseval_defect,
+        "tail_bound": report.tail_bound,
+        "N": span[1] if symmetric else len(s),
+        "grid": list(report.probe_grid),
+    }
+    return _report(args, "json", fields, payload)
 
 
 def _cmd_reconstruct(args) -> int:
@@ -271,7 +296,8 @@ def _cmd_interpolate(args) -> int:
             "budget": None if math.isinf(args.budget) else args.budget,
         }
         if fmt == "csv":
-            return _report(args, fmt, fields, plf_to_csv(result.function))
+            rows = list(zip(result.function.knots, result.function.values))
+            return _report(args, fmt, fields, rows)
         payload = {
             "knots": list(result.function.knots),
             "values": list(result.function.values),
@@ -335,7 +361,19 @@ def _cmd_mass_probe(args) -> int:
     n_max = args.n_max if args.n_max is not None else len(v)
     report = probe_report(spec, v, args.target, n_max)
     fields = {"kernel": spec.to_text(), "points": points, "target": args.target, "n_max": n_max}
-    payload = probe_to_csv(report.norms) if fmt == "csv" else report_json(report)
+    if fmt == "csv":
+        return _report(args, fmt, fields, [[n + 1, q] for n, q in enumerate(report.norms)])
+    verdict = {"kind": report.verdict.kind}
+    if report.verdict.limit is not None:
+        verdict["limit"] = report.verdict.limit
+    payload = {
+        "kernel": report.kernel.to_text(),
+        "V_prefix": list(report.v_prefix.points),
+        "target_index": report.target_index,
+        "norms": list(report.norms),
+        "verdict": verdict,
+        "closed_form": report.closed_form,
+    }
     return _report(args, fmt, fields, payload)
 
 
@@ -360,7 +398,7 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
     }
     if fmt == "csv":
-        return _report(args, fmt, fields, ensemble_to_csv(e))
+        return _report(args, fmt, fields, [list(e.time_grid), *e.paths.tolist()])
     mean = [float(v) for v in e.paths.mean(axis=0)]
     var = [float(v) for v in e.paths.var(axis=0, ddof=1)]
     m = len(grid)
@@ -476,7 +514,7 @@ def main(argv=None) -> int:
             json.dumps({"error": "validation", "message": str(exc)}) + "\n"
         )
         return 1
-    except (NumericalError, FloatingPointError, OverflowError, RuntimeWarning) as exc:
+    except (NumericalError, ArithmeticError, RuntimeWarning) as exc:
         sys.stderr.write(
             json.dumps({"error": "numerical", "message": str(exc)}) + "\n"
         )

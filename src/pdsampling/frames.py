@@ -207,24 +207,3 @@ def dual_frame_coefficients(spec: KernelSpec, s: SampleSet, samples) -> Coeffici
     """
     c = cholesky_solve(build_gram(spec, s).entries, samples)
     return synthesis(spec, s, c)
-
-
-def frame_report_json(report: FrameReport) -> dict:
-    """JSON-ready view of a FrameReport.
-
-    "N" is the symmetric integer radius when the sample set is exactly the
-    integers of [-N, N]; otherwise it is the sample count.
-    """
-    span = _integer_range(report.truncation)
-    if span is not None and span[0] < 0 and span[0] == -span[1]:
-        n = span[1]
-    else:
-        n = len(report.truncation)
-    return {
-        "a": report.lower_bound,
-        "b": report.upper_bound,
-        "defect": report.parseval_defect,
-        "tail_bound": report.tail_bound,
-        "N": n,
-        "grid": list(report.probe_grid),
-    }

@@ -299,26 +299,3 @@ def binomial_gram_inverse_exact(n: int) -> tuple[tuple[int, ...], ...]:
 def binomial_gram_inverse(n: int) -> np.ndarray:
     """Float view of the exact binomial Gram inverse over {0..n}."""
     return np.array(binomial_gram_inverse_exact(n), dtype=float)
-
-
-def gram_to_csv(g: GramMatrix) -> str:
-    """Rows of the full symmetric matrix, one CSV line per row."""
-    lines = [",".join(repr(v) for v in row) for row in g.entries.tolist()]
-    return "\n".join(lines) + "\n"
-
-
-def gram_report(g: GramMatrix) -> dict:
-    """JSON-ready report: order, points, entries, and both determinant routes."""
-    if g.spec.kind == "brownian":
-        det_closed = det_brownian_closed(g.sample_set)
-    elif g.spec.kind == "bridge":
-        det_closed = det_bridge_closed(g.sample_set)
-    else:
-        det_closed = None
-    return {
-        "order": g.order,
-        "points": list(g.sample_set.points),
-        "entries": g.entries.tolist(),
-        "det_closed": det_closed,
-        "det_lu": det_lu(g),
-    }

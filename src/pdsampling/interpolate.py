@@ -242,8 +242,3 @@ def obstruction_probe(
         alpha=alpha,
         weights=w,
     )
-
-
-def plf_to_csv(f: PiecewiseLinearFunction) -> str:
-    """Two-column CSV (knot, value), one line per knot, for plotting."""
-    return "\n".join(f"{repr(k)},{repr(v)}" for k, v in zip(f.knots, f.values)) + "\n"

@@ -240,14 +240,16 @@ def probe_report(
     """
     if n_max is None:
         n_max = len(v)
-    # Inputs are checked before the closed form runs, so a bad target is
-    # reported as x_index rather than by the oracle's own argument check.
+    # Inputs are checked first, so a bad target is reported as x_index rather
+    # than by the oracle's own argument check.  The closed form runs after the
+    # factor, so points too close for the factor raise its error before the
+    # oracle's float arithmetic can underflow to a division by zero.
     vp, x = _probe_prefix(spec, v, x_index, n_max)
-    closed = _auto_closed_form(spec, vp, x)
     entries = build_gram(spec, vp).entries
     lower, error = _factor_prefix(entries)
     if error is not None and error.pivot_index <= x:
         raise error
+    closed = _auto_closed_form(spec, vp, x)
     norms = _delta_norms(lower, x, entries[x, x])
     if error is None:
         verdict = mass_verdict(norms, closed_form=closed)
@@ -261,23 +263,3 @@ def probe_report(
         verdict=verdict,
         closed_form=closed,
     )
-
-
-def probe_to_csv(norms) -> str:
-    """CSV rows (n, norm), one per prefix length, for plotting."""
-    return "\n".join(f"{n + 1},{repr(float(v))}" for n, v in enumerate(norms)) + "\n"
-
-
-def report_json(report: MassProbeReport) -> dict:
-    """JSON-ready view of a MassProbeReport."""
-    verdict: dict = {"kind": report.verdict.kind}
-    if report.verdict.limit is not None:
-        verdict["limit"] = report.verdict.limit
-    return {
-        "kernel": report.kernel.to_text(),
-        "V_prefix": list(report.v_prefix.points),
-        "target_index": report.target_index,
-        "norms": list(report.norms),
-        "verdict": verdict,
-        "closed_form": report.closed_form,
-    }

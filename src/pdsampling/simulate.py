@@ -187,11 +187,3 @@ def empirical_covariance(e: PathEnsemble, s_index: int, t_index: int) -> tuple[f
     estimate = float(np.sum(products) / (n - 1))
     std_error = float(np.std(products, ddof=1) / np.sqrt(n))
     return estimate, std_error
-
-
-def ensemble_to_csv(e: PathEnsemble) -> str:
-    """CSV: first row the time grid, then one row per path."""
-    lines = [",".join(repr(t) for t in e.time_grid)]
-    for row in e.paths:
-        lines.append(",".join(repr(v) for v in row.tolist()))
-    return "\n".join(lines) + "\n"

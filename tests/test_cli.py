@@ -1,16 +1,20 @@
 """Command-line surface: payload shapes, exit codes, output routing."""
 
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdsampling
 from pdsampling import CapacityError, NumericalError, ValidationError
@@ -27,6 +31,15 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def run_csv(capsys, *argv):
+    """The CSV body of a successful run, below its one `#` header line."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    header, body = out.split("\n", 1)
+    assert header.startswith("# schema_version=1 ")
+    return body
 
 
 class TestPointText:
@@ -249,6 +262,21 @@ class TestGram:
         assert err == ""
         assert json.loads(out)["det_lu"] == 0.0
 
+    def test_report_contents(self, capsys):
+        doc = run_json(capsys, "gram", "--kernel", "brownian", "--points", "1,2,3")
+        assert doc["order"] == 3
+        assert doc["points"] == [1.0, 2.0, 3.0]
+        assert doc["det_closed"] == 1.0
+        assert abs(doc["det_lu"] - 1.0) <= 1e-10
+
+    def test_report_without_closed_form(self, capsys):
+        doc = run_json(capsys, "gram", "--kernel", "sinc", "--points", "0,1")
+        assert doc["det_closed"] is None
+
+    def test_csv_rows(self, capsys):
+        body = run_csv(capsys, "gram", "--kernel", "brownian", "--points", "1,2", "--format", "csv")
+        assert body == "1.0,1.0\n1.0,2.0\n"
+
 
 class TestStrictJson:
     def test_non_finite_report_exits_two(self, capsys, monkeypatch):
@@ -334,6 +362,32 @@ class TestFrameCheck:
         assert code == 1
         assert out == ""
         assert json.loads(err)["message"] == "--integers radius must be an integer >= 1, got 0"
+
+    def test_symmetric_integer_radius(self, capsys):
+        doc = run_json(
+            capsys, "frame-check", "--kernel", "sinc", "--integers", "7", "--grid", "0.25"
+        )
+        rep = pdsampling.parseval_defect(
+            pdsampling.KernelSpec.sinc(), pdsampling.SampleSet.of(range(-7, 8)), [0.25]
+        )
+        assert doc["N"] == 7
+        assert doc["grid"] == [0.25]
+        assert doc["a"] is None and doc["b"] is None
+        assert doc["defect"] == rep.parseval_defect
+        assert doc["tail_bound"] == rep.tail_bound
+
+    def test_generic_points_use_count(self, capsys):
+        doc = run_json(
+            capsys, "frame-check", "--kernel", "brownian", "--points", "1,2,4", "--grid", "1.5"
+        )
+        assert doc["N"] == 3
+
+    def test_gapped_integer_points_use_count(self, capsys):
+        doc = run_json(
+            capsys, "frame-check", "--kernel", "sinc", "--points=-10,0,10", "--grid", "0.5"
+        )
+        assert doc["tail_bound"] is None
+        assert doc["N"] == 3
 
 
 class TestReconstruct:
@@ -484,6 +538,13 @@ class TestInterpolate:
         )
         assert doc["norm_sq"] == 1.0
 
+    def test_spline_csv_knot_value_rows(self, capsys):
+        body = run_csv(
+            capsys, "interpolate", "--spline", "--points", "0,0.5", "--values", "1,-2",
+            "--format", "csv",
+        )
+        assert body == "0.0,1.0\n0.5,-2.0\n"
+
 
 class TestObstruct:
     def test_blocked_midpoint(self, capsys):
@@ -549,7 +610,7 @@ class TestNonFiniteNumbers:
     def test_csv_header_is_strict_json(self):
         args = SimpleNamespace(command="interpolate", out=None)
         with pytest.raises(NumericalError, match="non-finite"):
-            _report(args, "csv", {"budget": math.nan}, "0.0,0.0\n")
+            _report(args, "csv", {"budget": math.nan}, [[0.0, 0.0]])
 
 
 class TestMassProbe:
@@ -640,6 +701,26 @@ class TestMassProbe:
         assert msg["error"] == "validation"
         assert msg["message"] == f"x_index must be an integer in [0, 10), got {target}"
 
+    def test_json_round_trip_fields(self, capsys):
+        doc = run_json(
+            capsys, "mass-probe", "--kernel", "brownian", "--points", "1..7", "--target", "1"
+        )
+        rep = pdsampling.probe_report(
+            pdsampling.KernelSpec.brownian(), pdsampling.SampleSet.of(range(1, 8)), 1
+        )
+        assert doc["kernel"] == "brownian"
+        assert doc["target_index"] == 1
+        assert doc["verdict"]["kind"] == rep.verdict.kind
+        assert doc["norms"] == list(rep.norms)
+
+    def test_csv_rows(self, capsys):
+        # Brownian points 1, 2 give the norms 1/K(1,1) = 1 and 2/(1 (2 - 1)) = 2.
+        body = run_csv(
+            capsys, "mass-probe", "--kernel", "brownian", "--points", "1,2", "--target", "0",
+            "--format", "csv",
+        )
+        assert body == "1,1.0\n2,2.0\n"
+
 
 class TestSimulate:
     def test_depth_past_capacity_exits_two(self, capsys, monkeypatch):
@@ -692,6 +773,18 @@ class TestSimulate:
         assert len(lines) == 5
         for row in lines[2:]:
             assert float(row.split(",")[0]) == 0.0
+
+    def test_csv_layout(self, capsys):
+        body = run_csv(
+            capsys, "simulate", "--kernel", "brownian", "--grid", "0,0.5,1", "--paths", "2",
+            "--depth", "2", "--seed", "1",
+        )
+        e = pdsampling.simulate_brownian(np.array([0.0, 0.5, 1.0]), 2, 2, seed=1)
+        lines = body.strip().split("\n")
+        assert lines[0] == "0.0,0.5,1.0"
+        assert len(lines) == 3
+        row = [float(v) for v in lines[1].split(",")]
+        np.testing.assert_array_equal(row, e.paths[0])
 
     def test_json_summary(self, capsys):
         doc = run_json(
@@ -821,6 +914,8 @@ class TestOneStderrLine:
             (2, "reconstruct --kernel brownian --points 1,2 --samples 1e308,1e308 --t 1e308"),
             (2, "reconstruct --kernel brownian --points 1,2 --samples 1e308,1e308 --t 1"),
             (1, "simulate --kernel brownian --grid 0:1:0.25 --paths 1 --depth 2 --seed 1 --format json"),
+            (2, "mass-probe --kernel brownian --points 1e-300,2e-300,3e-300 --target 0"),
+            (2, "mass-probe --kernel bridge --points 1e-300,2e-300,3e-300 --target 1"),
         ],
     )
     def test_exit_code_and_one_line(self, code, argv):
@@ -838,6 +933,189 @@ class TestOneStderrLine:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert json.loads(proc.stderr)["error"] == ("numerical" if code == 2 else "validation")
+
+
+# Edge values of a float flag, and the scales that turn a sorted integer set
+# into a point list from the underflow to the overflow end of the doubles.
+EDGE_NUMBERS = [
+    0.0, 1.0, -1.0, 1e308, -1e308, 1e-300, -1e-300, 5e-324, math.nan, math.inf, -math.inf
+]
+SCALES = [1e-300, 1e-160, 0.1, 1.0, 1e300]
+# Point expressions past MAX_POINTS, which must be refused before a list is built.
+PAST_MAX_POINTS = [f"0..{MAX_POINTS}", f"-1..{MAX_POINTS}", f"0:1:{0.5 / MAX_POINTS!r}"]
+
+numbers = st.sampled_from(EDGE_NUMBERS).map(repr)
+# Sizes are small enough to run in microseconds or past a ceiling: a
+# point-count, path-count or basis-depth check must refuse them up front.
+sizes = st.one_of(
+    st.integers(-2, 64), st.sampled_from([MAX_POINTS + 1, 2**31, 2**63])
+).map(str)
+depths = st.one_of(st.integers(-1, 6), st.sampled_from([24, 64, 2**31])).map(str)
+integer_sets = st.sets(st.integers(-2, 64), max_size=8).map(sorted)
+point_lists = st.one_of(
+    st.builds(
+        lambda ints, scale: ",".join(repr(k * scale) for k in ints),
+        integer_sets,
+        st.sampled_from(SCALES),
+    ),
+    st.sampled_from(PAST_MAX_POINTS),
+    numbers,
+)
+formats = st.sampled_from(["json", "csv", "xml"])
+
+
+@st.composite
+def point_value_pairs(draw):
+    """--points and a value list of the same length, so some runs succeed."""
+    ints = draw(integer_sets)
+    scale = draw(st.sampled_from(SCALES))
+    value = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])
+    values = draw(st.lists(value, min_size=len(ints), max_size=len(ints)))
+    return ",".join(repr(k * scale) for k in ints), ",".join(map(repr, values))
+
+
+@pytest.fixture(scope="module")
+def kernels(tmp_path_factory):
+    """Every kernel the CLI names, a tabulated one over 0, 1, 2 included."""
+    table = tmp_path_factory.mktemp("kernel") / "table.csv"
+    table.write_text("0,1,2\n2,1,0\n1,3,1\n0,1,2\n")
+    return st.sampled_from(["brownian", "bridge", "sinc", "binomial", f"tabulated:{table}", "nope"])
+
+
+def flags(**values):
+    """argv flags as --name=value, so a negative number is not read as a flag.
+
+    A None value leaves the flag out and True gives a bare switch.
+    """
+    argv = []
+    for name, value in values.items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+def assert_contract(argv):
+    """Exit 0 with a silent stderr, or 1/2 with one JSON line and no report."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+        return
+    assert out.getvalue() == "", argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, (argv, err.getvalue())
+    assert json.loads(lines[0])["error"] == ("validation" if code == 1 else "numerical"), argv
+
+
+contract = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+
+
+class TestContractProperty:
+    """Every argv of each subcommand exits 0, 1 or 2 under the one-line contract.
+
+    Values come from the edge cases of doubles and from lists past the
+    ceilings.  The properties call main in-process, so numpy's warnings
+    arrive as exceptions (see TestOneStderrLine for the subprocess check).
+    """
+
+    @contract
+    @given(data=st.data())
+    def test_kernel_eval(self, kernels, data):
+        argv = flags(kernel=data.draw(kernels), s=data.draw(numbers), t=data.draw(numbers))
+        assert_contract(["kernel-eval", *argv])
+
+    @contract
+    @given(data=st.data())
+    def test_gram(self, kernels, data):
+        argv = flags(
+            kernel=data.draw(kernels), points=data.draw(point_lists), format=data.draw(formats)
+        )
+        assert_contract(["gram", *argv])
+
+    @contract
+    @given(data=st.data())
+    def test_frame_check(self, kernels, data):
+        argv = flags(
+            kernel=data.draw(kernels),
+            points=data.draw(optional(point_lists)),
+            integers=data.draw(optional(sizes)),
+            grid=data.draw(point_lists),
+            tail_budget=data.draw(optional(numbers)),
+            bounds=data.draw(st.booleans()),
+        )
+        assert_contract(["frame-check", *argv])
+
+    @contract
+    @given(data=st.data())
+    def test_reconstruct(self, kernels, data):
+        points, samples = data.draw(point_value_pairs())
+        argv = flags(
+            kernel=data.draw(kernels), points=points, samples=samples, t=data.draw(numbers)
+        )
+        assert_contract(["reconstruct", *argv])
+
+    @contract
+    @given(data=st.data())
+    def test_interpolate(self, kernels, data):
+        points, values = data.draw(point_value_pairs())
+        argv = flags(
+            kernel=data.draw(optional(kernels)),
+            points=points,
+            values=values,
+            alpha=data.draw(optional(numbers)),
+            weights=data.draw(optional(point_lists)),
+            spline=data.draw(st.booleans()),
+            budget=data.draw(optional(numbers)),
+            format=data.draw(formats),
+        )
+        assert_contract(["interpolate", *argv])
+
+    @contract
+    @given(data=st.data())
+    def test_obstruct(self, kernels, data):
+        argv = flags(
+            kernel=data.draw(kernels),
+            points=data.draw(point_lists),
+            t0=data.draw(numbers),
+            y0=data.draw(numbers),
+            alpha=data.draw(numbers),
+            weights=data.draw(optional(point_lists)),
+        )
+        assert_contract(["obstruct", *argv])
+
+    @settings(contract, max_examples=300)
+    @given(data=st.data())
+    def test_mass_probe(self, kernels, data):
+        argv = flags(
+            kernel=data.draw(kernels),
+            points=data.draw(point_lists),
+            target=data.draw(sizes),
+            n_max=data.draw(optional(sizes)),
+            format=data.draw(formats),
+        )
+        assert_contract(["mass-probe", *argv])
+
+    @contract
+    @given(data=st.data())
+    def test_simulate(self, data):
+        argv = flags(
+            kernel=data.draw(st.sampled_from(["brownian", "bridge", "sinc"])),
+            grid=data.draw(point_lists),
+            paths=data.draw(sizes),
+            depth=data.draw(depths),
+            seed=data.draw(sizes),
+            format=data.draw(formats),
+        )
+        assert_contract(["simulate", *argv])
 
 
 class TestOutputRouting:

@@ -22,7 +22,6 @@ from pdsampling import (
     synthesis,
 )
 from pdsampling import frames
-from pdsampling.frames import frame_report_json
 
 BM = KernelSpec.brownian()
 SINC = KernelSpec.sinc()
@@ -178,7 +177,6 @@ class TestParsevalDefect:
         s = SampleSet.of([-10.0, 0.0, 10.0])
         rep = parseval_defect(SINC, s, [0.5])
         assert rep.tail_bound is None
-        assert frame_report_json(rep)["N"] == 3
         with pytest.raises(ValidationError):
             parseval_defect(SINC, s, [0.5], tail_budget=0.1)
 
@@ -275,19 +273,3 @@ class TestAdjointIdentity:
             direct = xi @ g.entries @ c
             via_samples = xi @ analysis(BM, s, synthesis(BM, s, c))
             assert abs(direct - via_samples) <= 1e-10 * max(1.0, abs(direct))
-
-
-class TestReportJson:
-    def test_symmetric_integer_radius(self):
-        rep = parseval_defect(SINC, integer_nodes(7), [0.25])
-        doc = frame_report_json(rep)
-        assert doc["N"] == 7
-        assert doc["grid"] == [0.25]
-        assert doc["a"] is None and doc["b"] is None
-        assert doc["defect"] == rep.parseval_defect
-        assert doc["tail_bound"] == rep.tail_bound
-
-    def test_generic_points_use_count(self):
-        s = SampleSet.of([1.0, 2.0, 4.0])
-        rep = parseval_defect(BM, s, [1.5])
-        assert frame_report_json(rep)["N"] == 3

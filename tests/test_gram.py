@@ -20,7 +20,6 @@ from pdsampling import (
     det_brownian_closed,
     det_lu,
     eval_kernel,
-    gram_report,
     pascal_inverse,
     pascal_lower,
 )
@@ -28,7 +27,6 @@ from pdsampling.gram import (
     BINOMIAL_GRAM_MAX_POINT,
     MAX_GRAM_ENTRIES,
     cholesky_factor,
-    gram_to_csv,
 )
 
 
@@ -297,21 +295,3 @@ class TestBinomialGramInverse:
                 for j in range(m):
                     got = sum(inv[i][k] * gram[k][j] for k in range(m))
                     assert got == (1 if i == j else 0)
-
-
-class TestSerialization:
-    def test_report_contents(self):
-        g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0, 3.0]))
-        rep = gram_report(g)
-        assert rep["order"] == 3
-        assert rep["points"] == [1.0, 2.0, 3.0]
-        assert rep["det_closed"] == 1.0
-        assert abs(rep["det_lu"] - 1.0) <= 1e-10
-
-    def test_report_without_closed_form(self):
-        g = build_gram(KernelSpec.sinc(), SampleSet.of([0.0, 1.0]))
-        assert gram_report(g)["det_closed"] is None
-
-    def test_csv_rows(self):
-        g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0]))
-        assert gram_to_csv(g) == "1.0,1.0\n1.0,2.0\n"

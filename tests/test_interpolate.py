@@ -21,7 +21,6 @@ from pdsampling import (
     spline_interpolant,
     tent_basis,
 )
-from pdsampling.interpolate import plf_to_csv
 
 BM = KernelSpec.brownian()
 
@@ -238,9 +237,3 @@ class TestObstructionProbe:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValidationError):
             obstruction_probe(BM, SampleSet.of([1.0, 2.0]), 0.5, 1.0, alpha=0.0)
-
-
-class TestCsv:
-    def test_knot_value_rows(self):
-        f = PiecewiseLinearFunction(knots=(0.0, 0.5), values=(1.0, -2.0))
-        assert plf_to_csv(f) == "0.0,1.0\n0.5,-2.0\n"

@@ -21,7 +21,6 @@ from pdsampling import (
     projection_norm_sequence,
 )
 from pdsampling import massprobe
-from pdsampling.massprobe import probe_to_csv, report_json
 
 BM = KernelSpec.brownian()
 BRIDGE = KernelSpec.bridge()
@@ -317,17 +316,13 @@ class TestProbeReport:
         assert str(info.value).startswith("matrix is singular or indefinite: pivot ")
         assert str(info.value).endswith(" at index 3 (floor 1e-12)")
 
-    def test_json_round_trip_fields(self):
-        s = SampleSet.of([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-        rep = probe_report(BM, s, 1)
-        doc = report_json(rep)
-        assert doc["kernel"] == "brownian"
-        assert doc["target_index"] == 1
-        assert doc["verdict"]["kind"] == rep.verdict.kind
-        assert doc["norms"] == list(rep.norms)
-
-    def test_csv_rows(self):
-        assert probe_to_csv([1.0, 2.0]) == "1,1.0\n2,2.0\n"
+    @pytest.mark.parametrize("spec, x", [(BM, 0), (BRIDGE, 1)])
+    def test_underflowing_points_raise_the_factor_error(self, spec, x):
+        # The closed form divides by (1e-300)^2, which underflows to 0.0; the
+        # factor fails at pivot 0 first, so the oracle never runs.
+        with pytest.raises(SingularMatrixError) as info:
+            probe_report(spec, SampleSet.of([1e-300, 2e-300, 3e-300]), x)
+        assert info.value.pivot_index == 0
 
 
 class TestDichotomy:

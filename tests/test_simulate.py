@@ -20,7 +20,6 @@ from pdsampling.simulate import (
     MAX_BASIS_ENTRIES,
     MAX_PATH_ENTRIES,
     MAX_PATHS,
-    ensemble_to_csv,
 )
 from pdsampling import simulate
 
@@ -256,14 +255,6 @@ class TestEnsembleContainer:
         e = simulate_brownian(GRID_65, 3, 4, seed=1)
         with pytest.raises(ValueError):
             e.paths[0, 0] = 1.0
-
-    def test_csv_layout(self):
-        e = simulate_brownian(np.array([0.0, 0.5, 1.0]), 2, 2, seed=1)
-        lines = ensemble_to_csv(e).strip().split("\n")
-        assert lines[0] == "0.0,0.5,1.0"
-        assert len(lines) == 3
-        row = [float(v) for v in lines[1].split(",")]
-        np.testing.assert_array_equal(row, e.paths[0])
 
 
 class TestCapacity:
