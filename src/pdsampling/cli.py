@@ -38,7 +38,7 @@ import warnings
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError, check_int
-from .frames import _integer_range, parseval_defect, reconstruct
+from .frames import _integer_range, parseval_defect, synthesis
 from .gram import build_gram, det_bridge_closed, det_brownian_closed, det_lu
 from .interpolate import _ridge_fit, obstruction_probe, spline_interpolant
 from .kernels import KernelSpec, SampleSet, eval_kernel, kernel_values, parse_kernel
@@ -202,17 +202,18 @@ def _cmd_gram(args) -> int:
     spec = parse_kernel(args.kernel)
     fmt = _check_format(args.format, ("json", "csv"))
     points = parse_point_text(args.points)
-    g = build_gram(spec, SampleSet.of(points))
+    s = SampleSet.of(points)
+    entries = build_gram(spec, s)
     fields = {"kernel": spec.to_text(), "points": points}
     if fmt == "csv":
-        return _report(args, fmt, fields, g.entries.tolist())
+        return _report(args, fmt, fields, entries.tolist())
     closed = {"brownian": det_brownian_closed, "bridge": det_bridge_closed}.get(spec.kind)
     payload = {
-        "order": g.order,
-        "points": list(g.sample_set.points),
-        "entries": g.entries.tolist(),
-        "det_closed": None if closed is None else closed(g.sample_set),
-        "det_lu": det_lu(g),
+        "order": len(points),
+        "points": points,
+        "entries": entries.tolist(),
+        "det_closed": None if closed is None else closed(s),
+        "det_lu": det_lu(entries),
     }
     return _report(args, fmt, fields, payload)
 
@@ -262,7 +263,7 @@ def _cmd_reconstruct(args) -> int:
     s = SampleSet.of(points)
     if len(samples) != len(s):
         raise ValidationError(f"{len(samples)} samples for {len(s)} sample points")
-    value = reconstruct(spec, s, samples, args.t)
+    value = synthesis(spec, s, samples)(args.t)
     fields = {"kernel": spec.to_text(), "points": points, "samples": samples, "t": args.t}
     return _report(args, "json", fields, {"value": value})
 
@@ -358,9 +359,10 @@ def _cmd_mass_probe(args) -> int:
     fmt = _check_format(args.format, ("json", "csv"))
     points = parse_point_text(args.points)
     v = SampleSet.of(points)
-    n_max = args.n_max if args.n_max is not None else len(v)
-    report = probe_report(spec, v, args.target, n_max)
-    fields = {"kernel": spec.to_text(), "points": points, "target": args.target, "n_max": n_max}
+    n_max = len(v) if args.n_max is None else check_int("--n-max", args.n_max, 1, len(v) + 1)
+    target = check_int("--target", args.target, 0, n_max)
+    report = probe_report(spec, v, target, n_max)
+    fields = {"kernel": spec.to_text(), "points": points, "target": target, "n_max": n_max}
     if fmt == "csv":
         return _report(args, fmt, fields, [[n + 1, q] for n, q in enumerate(report.norms)])
     verdict = {"kind": report.verdict.kind}
@@ -386,16 +388,17 @@ def _cmd_simulate(args) -> int:
             f"simulate supports kernels brownian and bridge, got {args.kernel!r}"
         )
     grid = parse_point_text(args.grid)
-    if args.kernel == "brownian":
-        e = simulate_brownian(grid, args.paths, args.depth, args.seed)
-    else:
-        e = simulate_bridge(grid, args.paths, args.depth, args.seed)
+    paths = check_int("--paths", args.paths, 1)
+    depth = check_int("--depth", args.depth, 0)
+    seed = check_int("--seed", args.seed, 0)
+    simulate = simulate_brownian if args.kernel == "brownian" else simulate_bridge
+    e = simulate(grid, paths, depth, seed)
     fields = {
         "kernel": args.kernel,
         "grid": grid,
-        "paths": args.paths,
-        "depth": args.depth,
-        "seed": args.seed,
+        "paths": paths,
+        "depth": depth,
+        "seed": seed,
     }
     if fmt == "csv":
         return _report(args, fmt, fields, [list(e.time_grid), *e.paths.tolist()])
@@ -407,7 +410,7 @@ def _cmd_simulate(args) -> int:
     # Only the probe points enter the exact covariance: the grid's full
     # matrix has the same entries but can be far too large to build.
     probe = np.asarray(grid)[idx]
-    exact = truncated_covariance(probe, args.depth, kind=args.kernel)
+    exact = truncated_covariance(probe, depth, kind=args.kernel)
     pairs = [(a, b) for a in range(len(idx)) for b in range(a, len(idx))]
     rows, cols = np.array(pairs).T
     kernel = kernel_values(KernelSpec(args.kernel), probe[rows], probe[cols]).tolist()

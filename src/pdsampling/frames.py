@@ -1,4 +1,4 @@
-"""Sampling viewed as a frame: analysis, synthesis, bounds, and defects.
+"""Sampling viewed as a frame: synthesis, bounds, and defects.
 
 The sample map takes a function to its values on the sample set; its adjoint
 sends coefficients to a kernel combination.  Over a finite sample set the
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, SingularMatrixError, ValidationError
-from .gram import MAX_GRAM_ENTRIES, GramMatrix, build_gram, cholesky_factor, cholesky_solve
-from .kernels import KernelSpec, SampleSet, check_domain, kernel_values, validate_sample_set
+from .gram import build_gram, cholesky_factor, cholesky_solve
+from .kernels import MAX_GRAM_ENTRIES, KernelSpec, SampleSet, check_domain, kernel_values
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,23 @@ class CoefficientFunction:
         return math.fsum((self._weights * row).tolist())
 
 
-def analysis(spec: KernelSpec, s: SampleSet, f) -> np.ndarray:
-    """Sample map: evaluate f at each sample point, in index order."""
-    validate_sample_set(spec, s)
-    return np.array([float(f(p)) for p in s.points], dtype=float)
-
-
 def synthesis(spec: KernelSpec, s: SampleSet, coefficients) -> CoefficientFunction:
-    """Adjoint of the sample map: finite coefficients to a kernel combination."""
+    """Adjoint of the sample map: finite coefficients to a kernel combination.
+
+    With samples as coefficients it is the truncated reconstruction, for
+    sinc sampling on integers the classical cardinal series.
+    """
     coefficients = tuple(float(c) for c in coefficients)
     if not all(map(math.isfinite, coefficients)):
         raise ValidationError("coefficients must be finite")
     return CoefficientFunction(spec, s, coefficients)
 
 
-def _bounds_of(g: GramMatrix) -> tuple[float, float]:
+def _bounds_of(gram: np.ndarray) -> tuple[float, float]:
     # The factorization is the package-wide singularity gate (pivot floor,
     # index payload); run it before the eigensolve.
-    cholesky_factor(g.entries)
-    eigs = np.linalg.eigvalsh(g.entries)
+    cholesky_factor(gram)
+    eigs = np.linalg.eigvalsh(gram)
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0.0:
         raise SingularMatrixError(
@@ -189,15 +187,6 @@ def parseval_defect(
     )
 
 
-def reconstruct(spec: KernelSpec, s: SampleSet, samples, t: float) -> float:
-    """Value at t of the kernel combination whose coefficients are the samples.
-
-    For sinc sampling on integers this is the classical cardinal-series
-    reconstruction truncated to the sample set.
-    """
-    return synthesis(spec, s, samples)(t)
-
-
 def dual_frame_coefficients(spec: KernelSpec, s: SampleSet, samples) -> CoefficientFunction:
     """Interpolating kernel combination: synthesis of G^{-1} samples.
 
@@ -205,5 +194,5 @@ def dual_frame_coefficients(spec: KernelSpec, s: SampleSet, samples) -> Coeffici
     (to solver accuracy), since the sample map composed with synthesis acts
     as the Gram matrix on coefficients.
     """
-    c = cholesky_solve(build_gram(spec, s).entries, samples)
+    c = cholesky_solve(build_gram(spec, s), samples)
     return synthesis(spec, s, c)

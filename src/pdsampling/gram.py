@@ -1,7 +1,8 @@
 """Gram matrices, SPD solves, closed-form determinants, and Pascal algebra.
 
-Every closed form here doubles as a test oracle against an independent dense
-code path:
+Every matrix here is a plain ndarray: a Gram is a read-only float64 array,
+and every exact integer matrix is an object array of Python ints.  Every
+closed form doubles as a test oracle against an independent dense code path:
 
   det_brownian_closed / det_bridge_closed   product formulas, checked against
                                             a partial-pivot LU determinant
@@ -10,8 +11,9 @@ code path:
   binomial_gram_inverse                     inverse binomial Gram assembled
                                             from the exact Pascal inverse
 
-Continuous kernels live in IEEE doubles; binomial Gram entries are exact
-Python integers, converted to doubles only at the linear-algebra boundary.
+Continuous kernels live in IEEE doubles.  The binomial Gram's exact integer
+entries are kernels.kernel_matrix's object array; build_gram converts them
+to doubles for the linear algebra.
 
 One pipeline serves every solve: build_gram, the one Gram build, whose
 entries come from kernels.kernel_values on points checked by
@@ -23,7 +25,6 @@ does for the binomial Gram over 0..100.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +32,7 @@ from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf
 
 from .errors import CapacityError, SingularMatrixError, ValidationError, check_int
-from .kernels import KernelSpec, SampleSet, kernel_values, validate_sample_set
+from .kernels import MAX_GRAM_ENTRIES, KernelSpec, SampleSet, kernel_values, validate_sample_set
 
 # Pivots at or below this are treated as a singular/indefinite factorization.
 # An absolute floor (rather than one relative to the diagonal) is deliberate:
@@ -50,43 +51,18 @@ PASCAL_CAPACITY = 60
 # above it at x = 515, so no entry needs computing to decide the overflow.
 BINOMIAL_GRAM_MAX_POINT = 514
 
-# Entries of one Gram matrix, checked before any is computed: 128 MiB of
-# doubles, the same ceiling as simulate's basis and path matrices.
-MAX_GRAM_ENTRIES = 2**24
-
 # Rows per cholesky_factor block; fixed, so no BLAS call's shape depends on n.
 _BLOCK = 32
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric kernel Gram matrix K[i,j] = K(points[i], points[j]).
-
-    `entries` is the float64 form used by all linear algebra and is frozen
-    (non-writeable).  For the binomial kernel `exact_entries` additionally
-    holds the same matrix as exact integers.
-    """
-
-    spec: KernelSpec
-    sample_set: SampleSet
-    entries: np.ndarray
-    exact_entries: tuple[tuple[int, ...], ...] | None = field(default=None)
-
-    def __post_init__(self):
-        self.entries.flags.writeable = False
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
-def build_gram(spec: KernelSpec, s: SampleSet) -> GramMatrix:
-    """Full symmetric Gram matrix of the kernel over the sample set.
+def build_gram(spec: KernelSpec, s: SampleSet) -> np.ndarray:
+    """Full symmetric Gram matrix of the kernel over the sample set, read-only float64.
 
     One block evaluation over the validated points; the kernels are
     symmetric entry by entry (see kernels), so no triangle is mirrored here.
-    Binomial entries are kept exact in `exact_entries`.  A Gram with more
-    than MAX_GRAM_ENTRIES entries, or a binomial Gram with an entry past the
+    Binomial entries are computed exactly and converted to doubles; their
+    exact form is kernels.kernel_matrix's.  A Gram with more than
+    MAX_GRAM_ENTRIES entries, or a binomial Gram with an entry past the
     double range, raises CapacityError before any entry is computed.
     """
     a = validate_sample_set(spec, s)
@@ -100,11 +76,9 @@ def build_gram(spec: KernelSpec, s: SampleSet) -> GramMatrix:
             f"binomial Gram over {len(s)} points has entries beyond the double range "
             f"(largest C({2 * int(a[-1])}, {int(a[-1])}))"
         )
-    values = kernel_values(spec, a[:, None], a[None, :])
-    if spec.kind != "binomial":
-        return GramMatrix(spec, s, values)
-    entries = values.astype(float)
-    return GramMatrix(spec, s, entries, exact_entries=tuple(map(tuple, values.tolist())))
+    entries = kernel_values(spec, a[:, None], a[None, :]).astype(float, copy=False)
+    entries.flags.writeable = False
+    return entries
 
 
 def check_positive_definite(spec: KernelSpec, s: SampleSet, tol: float):
@@ -112,7 +86,7 @@ def check_positive_definite(spec: KernelSpec, s: SampleSet, tol: float):
 
     Pure diagnostic on the entries of build_gram; nothing is cached.
     """
-    min_eig = float(np.linalg.eigvalsh(build_gram(spec, s).entries)[0])
+    min_eig = float(np.linalg.eigvalsh(build_gram(spec, s))[0])
     return (min_eig >= -tol, min_eig)
 
 
@@ -223,8 +197,6 @@ def det_lu(matrix) -> float | None:
     binomial Gram over 0..100, whose determinant is exactly 1, has an LU
     pivot product that overflows).
     """
-    if isinstance(matrix, GramMatrix):
-        matrix = matrix.entries
     sign, logdet = np.linalg.slogdet(np.asarray(matrix, dtype=float))
     try:
         return float(sign) * math.exp(logdet)
@@ -252,50 +224,38 @@ def det_bridge_closed(s: SampleSet) -> float:
     return det * (1.0 - pts[-1])
 
 
-@dataclass(frozen=True)
-class PascalMatrix:
-    """Exact lower-triangular Pascal matrix: entry (x, y) = C(x, y)."""
+def pascal_lower(n: int) -> np.ndarray:
+    """(n+1) x (n+1) lower-triangular Pascal matrix C(x, y), an object array of ints.
 
-    order: int
-    entries: tuple[tuple[int, ...], ...]
-
-
-def pascal_lower(n: int) -> PascalMatrix:
-    """(n+1) x (n+1) lower-triangular Pascal matrix as exact integers."""
+    One block of math.comb, which is 0 above the diagonal (y > x).
+    """
     n = check_int("order", n, 0)
     if n > PASCAL_CAPACITY:
         raise CapacityError(
             f"order {n} exceeds the documented Pascal capacity ceiling {PASCAL_CAPACITY}"
         )
-    rows = tuple(
-        tuple(math.comb(x, y) if y <= x else 0 for y in range(n + 1)) for x in range(n + 1)
-    )
-    return PascalMatrix(order=n, entries=rows)
+    k = np.arange(n + 1, dtype=object)
+    return np.frompyfunc(math.comb, 2, 1)(k[:, None], k[None, :])
 
 
-def pascal_inverse(n: int) -> tuple[tuple[int, ...], ...]:
+def pascal_inverse(n: int) -> np.ndarray:
     """Exact inverse of pascal_lower(n): entry (x, y) = (-1)^(x-y) C(x, y)."""
-    low = pascal_lower(n).entries
-    return tuple(
-        tuple(c if (x - y) % 2 == 0 else -c for y, c in enumerate(row))
-        for x, row in enumerate(low)
-    )
+    inv = pascal_lower(n)
+    inv[1::2, ::2] *= -1  # the entries with x - y odd
+    inv[::2, 1::2] *= -1
+    return inv
 
 
-def binomial_gram_inverse_exact(n: int) -> tuple[tuple[int, ...], ...]:
-    """Exact integer inverse of the binomial Gram over {0..n}.
+def binomial_gram_inverse_exact(n: int) -> np.ndarray:
+    """Exact integer inverse of the binomial Gram over {0..n}, an object array.
 
     Assembled as (L^T)^-1 (L)^-1 from the exact Pascal inverse, so the
     diagonal entry at x is sum_{k=x}^{n} C(k,x)^2.
     """
     linv = pascal_inverse(n)
-    m = len(linv)
-    return tuple(
-        tuple(sum(linv[k][x] * linv[k][y] for k in range(max(x, y), m)) for y in range(m))
-        for x in range(m)
-    )
+    return linv.T @ linv
 
 
 def binomial_gram_inverse(n: int) -> np.ndarray:
     """Float view of the exact binomial Gram inverse over {0..n}."""
-    return np.array(binomial_gram_inverse_exact(n), dtype=float)
+    return binomial_gram_inverse_exact(n).astype(float)

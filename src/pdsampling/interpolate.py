@@ -155,7 +155,7 @@ def _ridge_fit(spec: KernelSpec, s: SampleSet, y, alpha: float, weights, probe_i
     y = np.asarray([float(v) for v in y], dtype=float)
     if y.shape != (len(s),):
         raise ValidationError(f"{y.size} targets for {len(s)} sample points")
-    entries = build_gram(spec, s).entries
+    entries = build_gram(spec, s)
     n = len(s) if probe_index is None else len(s) - 1
     if weights is None:
         w = np.ones(n)

@@ -64,6 +64,10 @@ SINC_GUARD = 1e-8
 # returns can be reported.
 BINOMIAL_CAPACITY = 10_000
 
+# Entries of one kernel block or Gram matrix, checked before any is computed:
+# 128 MiB of doubles, the same ceiling as simulate's basis and path matrices.
+MAX_GRAM_ENTRIES = 2**24
+
 
 @dataclass(frozen=True)
 class TabulatedTable:
@@ -334,11 +338,18 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     """The block K(xs[i], ys[j]) over two sequences of points.
 
     float64 for the continuous and tabulated kernels, an object array of
-    exact Python ints for the binomial kernel.  Both point sequences are
-    checked against the kernel's domain first, xs before ys.
+    exact Python ints for the binomial kernel: the package's one exact form
+    of the binomial Gram.  Both point sequences are checked against the
+    kernel's domain first, xs before ys; a block of more than
+    MAX_GRAM_ENTRIES entries then raises CapacityError before any is computed.
     """
     a = check_domain(spec, xs)
     b = check_domain(spec, ys)
+    if a.size * b.size > MAX_GRAM_ENTRIES:
+        raise CapacityError(
+            f"{a.size} x {b.size} kernel block has more entries than the documented "
+            f"ceiling {MAX_GRAM_ENTRIES}"
+        )
     return kernel_values(spec, a[:, None], b[None, :])
 
 

@@ -107,7 +107,7 @@ def projection_norm_sequence(
     singular prefix raises SingularMatrixError with its pivot index.
     """
     vp, x = _probe_prefix(spec, v, x_index, n_max)
-    entries = build_gram(spec, vp).entries
+    entries = build_gram(spec, vp)
     return _delta_norms(cholesky_factor(entries), x, entries[x, x])
 
 
@@ -204,7 +204,7 @@ def membership_probe(spec: KernelSpec, v: SampleSet, f_values, n_max) -> list[fl
     f = np.asarray([float(t) for t in f_values], dtype=float)
     if f.size < n_max:
         raise ValidationError(f"{f.size} sample values for prefix length {n_max}")
-    lower = cholesky_factor(build_gram(spec, v.prefix(n_max)).entries)
+    lower = cholesky_factor(build_gram(spec, v.prefix(n_max)))
     z = solve_triangular(lower, f[:n_max], lower=True)
     return np.cumsum(z * z).tolist()
 
@@ -245,7 +245,7 @@ def probe_report(
     # factor, so points too close for the factor raise its error before the
     # oracle's float arithmetic can underflow to a division by zero.
     vp, x = _probe_prefix(spec, v, x_index, n_max)
-    entries = build_gram(spec, vp).entries
+    entries = build_gram(spec, vp)
     lower, error = _factor_prefix(entries)
     if error is not None and error.pivot_index <= x:
         raise error

@@ -684,22 +684,24 @@ class TestMassProbe:
         assert lines[0].startswith("# schema_version=1 ")
         assert lines[1] == "1,1.0"
 
-    @pytest.mark.parametrize("target", ["-1", "10"])
-    def test_bad_target_names_x_index(self, capsys, target):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--target", "-1"), "--target must be an integer in [0, 10), got -1"),
+            (("--target", "10"), "--target must be an integer in [0, 10), got 10"),
+            (("--target", "5", "--n-max", "4"), "--target must be an integer in [0, 4), got 5"),
+            (("--target", "0", "--n-max", "0"), "--n-max must be an integer in [1, 11), got 0"),
+            (("--target", "0", "--n-max", "11"), "--n-max must be an integer in [1, 11), got 11"),
+        ],
+        ids=["target=-1", "target=10", "target=5,n-max=4", "n-max=0", "n-max=11"],
+    )
+    def test_bad_integer_flag_names_the_flag(self, capsys, flags, message):
         code, out, err = run(
-            capsys,
-            "mass-probe",
-            "--kernel",
-            "brownian",
-            "--points",
-            "1..10",
-            "--target",
-            target,
+            capsys, "mass-probe", "--kernel", "brownian", "--points", "1..10", *flags
         )
         assert code == 1
-        msg = json.loads(err)
-        assert msg["error"] == "validation"
-        assert msg["message"] == f"x_index must be an integer in [0, 10), got {target}"
+        assert out == ""
+        assert json.loads(err) == {"error": "validation", "message": message}
 
     def test_json_round_trip_fields(self, capsys):
         doc = run_json(
@@ -834,6 +836,23 @@ class TestSimulate:
         for check in doc["cov_checks"]:
             i, j = points.index(check["s"]), points.index(check["t"])
             assert check["exact_truncated"] == float(full[i, j])
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--paths", "0", "--paths must be an integer >= 1, got 0"),
+            ("--depth", "-1", "--depth must be an integer >= 0, got -1"),
+            ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+        ],
+        ids=["paths=0", "depth=-1", "seed=-1"],
+    )
+    def test_bad_integer_flag_names_the_flag(self, capsys, flag, value, message):
+        flags = {"--paths": "3", "--depth": "2", "--seed": "1", flag: value}
+        argv = [item for pair in flags.items() for item in pair]
+        code, out, err = run(capsys, "simulate", "--kernel", "bridge", "--grid", "0:1:0.25", *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "validation", "message": message}
 
     def test_json_needs_two_paths_before_any_work(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""Analysis/synthesis pair, frame bounds, diagonal defect, reconstruction."""
+"""Samples and synthesis, frame bounds, diagonal defect, reconstruction."""
 
 import math
 
@@ -11,13 +11,11 @@ from pdsampling import (
     SampleSet,
     SingularMatrixError,
     ValidationError,
-    analysis,
     build_gram,
     dual_frame_coefficients,
     eval_kernel,
     frame_bounds_truncated,
     parseval_defect,
-    reconstruct,
     sinc_pi,
     synthesis,
 )
@@ -31,23 +29,31 @@ def integer_nodes(radius):
     return SampleSet.of([float(v) for v in range(-radius, radius + 1)])
 
 
+def sample_map(f, s):
+    """The sample map: f at each point of s, in index order."""
+    return np.array([float(f(p)) for p in s.points])
+
+
 class TestAnalysis:
     def test_kernel_section_samples(self):
         s = SampleSet.of([1.0, 2.0, 3.0])
-        v = analysis(BM, s, lambda t: eval_kernel(BM, t, 2.0))
-        np.testing.assert_array_equal(v, [1.0, 2.0, 2.0])
+        section = synthesis(BM, s, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(sample_map(section, s), [1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(
+            sample_map(section, s), [eval_kernel(BM, p, 2.0) for p in s.points]
+        )
 
     def test_zero_function(self):
         s = SampleSet.of([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(analysis(BM, s, lambda t: 0.0), np.zeros(3))
+        f = dual_frame_coefficients(BM, s, [0.0, 0.0, 0.0])
+        assert f.coefficients == (0.0, 0.0, 0.0)
+        np.testing.assert_array_equal(sample_map(f, s), np.zeros(3))
 
     def test_sinc_at_integers(self):
         s = SampleSet.of([0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(analysis(SINC, s, sinc_pi), [1.0, 0.0, 0.0])
-
-    def test_sample_set_validated(self):
-        with pytest.raises(ValidationError):
-            analysis(BM, SampleSet.of([0.0, 1.0]), lambda t: t)
+        np.testing.assert_array_equal(sample_map(sinc_pi, s), [1.0, 0.0, 0.0])
+        unit = synthesis(SINC, s, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(sample_map(unit, s), [1.0, 0.0, 0.0])
 
 
 class TestSynthesis:
@@ -90,7 +96,7 @@ class TestSynthesis:
             c = rng.standard_normal(6)
             f = synthesis(BM, s, c.tolist())
             g = build_gram(BM, s)
-            np.testing.assert_allclose(analysis(BM, s, f), g.entries @ c, atol=1e-12)
+            np.testing.assert_allclose(sample_map(f, s), g @ c, atol=1e-12)
 
 
 class TestFrameBounds:
@@ -119,7 +125,7 @@ class TestFrameBounds:
         rng = np.random.default_rng(41)
         pts = np.sort(rng.uniform(0.3, 7.0, 8))
         s = SampleSet.of(pts.tolist())
-        g = build_gram(BM, s).entries
+        g = build_gram(BM, s)
         a, b = frame_bounds_truncated(BM, s)
         g2 = g @ g
         for _ in range(50):
@@ -214,16 +220,16 @@ class TestReconstruct:
         s = integer_nodes(5)
         samples = [0.0] * len(s)
         samples[5] = 1.0  # node 0
-        assert reconstruct(SINC, s, samples, 0.0) == 1.0
+        assert synthesis(SINC, s, samples)(0.0) == 1.0
 
     def test_zero_samples(self):
         s = integer_nodes(5)
-        assert reconstruct(SINC, s, [0.0] * len(s), 0.3) == 0.0
+        assert synthesis(SINC, s, [0.0] * len(s))(0.3) == 0.0
 
     def test_shifted_sinc_partial_series(self):
         s = integer_nodes(300)
         samples = [sinc_pi(p - 0.3) for p in s.points]
-        value = reconstruct(SINC, s, samples, 0.3)
+        value = synthesis(SINC, s, samples)(0.3)
         assert abs(value - 1.0) <= 1e-2
 
 
@@ -244,7 +250,7 @@ class TestDualFrame:
         s = SampleSet.of(pts.tolist())
         g = build_gram(BM, s)
         c = rng.standard_normal(10)
-        f = dual_frame_coefficients(BM, s, g.entries @ c)
+        f = dual_frame_coefficients(BM, s, g @ c)
         np.testing.assert_allclose(f.coefficients, c, atol=1e-9)
 
     def test_interpolates_samples(self):
@@ -270,6 +276,6 @@ class TestAdjointIdentity:
             g = build_gram(BM, s)
             xi = rng.standard_normal(n)
             c = rng.standard_normal(n)
-            direct = xi @ g.entries @ c
-            via_samples = xi @ analysis(BM, s, synthesis(BM, s, c))
+            direct = xi @ g @ c
+            via_samples = xi @ sample_map(synthesis(BM, s, c), s)
             assert abs(direct - via_samples) <= 1e-10 * max(1.0, abs(direct))

@@ -1,4 +1,8 @@
-"""Gram construction, SPD solves, determinant oracles, Pascal algebra."""
+"""Gram construction, SPD solves, determinant oracles, Pascal algebra.
+
+Every matrix is an ndarray: a Gram is read-only float64, and every exact
+integer matrix an object array of Python ints.
+"""
 
 import math
 
@@ -20,6 +24,7 @@ from pdsampling import (
     det_brownian_closed,
     det_lu,
     eval_kernel,
+    kernel_matrix,
     pascal_inverse,
     pascal_lower,
 )
@@ -40,16 +45,19 @@ def random_increasing(rng, n, lo, hi):
 class TestBuildGram:
     def test_brownian_pattern(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0, 3.0]))
-        assert g.entries.tolist() == [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
+        assert g.tolist() == [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
 
     def test_sinc_integers_identity(self):
         g = build_gram(KernelSpec.sinc(), SampleSet.of([0.0, 1.0]))
-        assert g.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert g.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_binomial_entries_exact(self):
         g = build_gram(KernelSpec.binomial(), SampleSet.of([0.0, 1.0, 2.0]))
-        assert g.entries.tolist() == [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
-        assert g.exact_entries == ((1, 1, 1), (1, 2, 3), (1, 3, 6))
+        assert type(g) is np.ndarray and g.dtype == np.float64 and not g.flags.writeable
+        assert g.tolist() == [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
+        exact = kernel_matrix(KernelSpec.binomial(), [0, 1, 2], [0, 1, 2])
+        assert exact.tolist() == [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
+        assert all(type(v) is int for v in exact.flat)
 
     def test_entries_match_eval_bitwise(self):
         rng = np.random.default_rng(3)
@@ -62,7 +70,7 @@ class TestBuildGram:
             g = build_gram(spec, s)
             for i, p in enumerate(s.points):
                 for j, q in enumerate(s.points):
-                    assert g.entries[i, j] == eval_kernel(spec, p, q)
+                    assert g[i, j] == eval_kernel(spec, p, q)
 
     def test_binomial_capacity_decided_before_any_entry(self, monkeypatch):
         def refuse(*args):
@@ -79,7 +87,7 @@ class TestBuildGram:
         with pytest.raises(OverflowError):
             float(math.comb(2 * x + 2, x + 1))
         g = build_gram(KernelSpec.binomial(), SampleSet.of([x - 1, x]))
-        assert g.entries[1, 1] == float(math.comb(2 * x, x))
+        assert g[1, 1] == float(math.comb(2 * x, x))
         with pytest.raises(CapacityError, match=rf"C\({2 * x + 2}, {x + 1}\)"):
             build_gram(KernelSpec.binomial(), SampleSet.of([0, x + 1]))
 
@@ -94,8 +102,9 @@ class TestBuildGram:
 
     def test_entries_frozen(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0]))
+        assert type(g) is np.ndarray and g.dtype == np.float64
         with pytest.raises(ValueError):
-            g.entries[0, 0] = 5.0
+            g[0, 0] = 5.0
 
     def test_factorization_round_trip(self):
         """The factor must reproduce the matrix to 1e-12 relative."""
@@ -103,15 +112,15 @@ class TestBuildGram:
         for _ in range(10):
             s = random_increasing(rng, 9, 0.1, 10.0)
             g = build_gram(KernelSpec.brownian(), s)
-            low = cholesky_factor(g.entries)
-            err = np.linalg.norm(low @ low.T - g.entries) / np.linalg.norm(g.entries)
+            low = cholesky_factor(g)
+            err = np.linalg.norm(low @ low.T - g) / np.linalg.norm(g)
             assert err <= 1e-12
 
 
 class TestSolveSpd:
     def test_two_point_inverse_column(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0]))
-        v = cholesky_solve(g.entries, [1.0, 0.0])
+        v = cholesky_solve(g, [1.0, 0.0])
         np.testing.assert_allclose(v, [2.0, -1.0], atol=1e-14)
 
     def test_identity_gram_echoes_rhs(self):
@@ -119,18 +128,18 @@ class TestSolveSpd:
         for k in range(3):
             e = np.zeros(3)
             e[k] = 1.0
-            np.testing.assert_array_equal(cholesky_solve(g.entries, e), e)
+            np.testing.assert_array_equal(cholesky_solve(g, e), e)
 
     def test_near_duplicate_points_singular(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 1.0 + 1e-14]))
         with pytest.raises(SingularMatrixError) as info:
-            cholesky_solve(g.entries, [1.0, 0.0])
+            cholesky_solve(g, [1.0, 0.0])
         assert info.value.pivot_index == 1
 
     def test_rhs_length_checked(self):
         g = build_gram(KernelSpec.brownian(), SampleSet.of([1.0, 2.0]))
         with pytest.raises(ValidationError):
-            cholesky_solve(g.entries, [1.0, 2.0, 3.0])
+            cholesky_solve(g, [1.0, 2.0, 3.0])
 
     def test_residual_small_on_random_systems(self):
         rng = np.random.default_rng(17)
@@ -138,8 +147,8 @@ class TestSolveSpd:
             s = random_increasing(rng, 10, 0.5, 20.0)
             g = build_gram(KernelSpec.brownian(), s)
             rhs = rng.standard_normal(10)
-            v = cholesky_solve(g.entries, rhs)
-            resid = np.max(np.abs(g.entries @ v - rhs))
+            v = cholesky_solve(g, rhs)
+            resid = np.max(np.abs(g @ v - rhs))
             assert resid <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
     def test_pivot_index_reported(self):
@@ -217,28 +226,28 @@ class TestDeterminants:
 class TestPascal:
     def test_small_lower_matrix(self):
         m = pascal_lower(3)
-        assert m.entries == (
-            (1, 0, 0, 0),
-            (1, 1, 0, 0),
-            (1, 2, 1, 0),
-            (1, 3, 3, 1),
-        )
+        assert m.tolist() == [
+            [1, 0, 0, 0],
+            [1, 1, 0, 0],
+            [1, 2, 1, 0],
+            [1, 3, 3, 1],
+        ]
 
     def test_order_zero(self):
-        assert pascal_lower(0).entries == ((1,),)
+        assert pascal_lower(0).tolist() == [[1]]
 
     def test_single_entry(self):
-        assert pascal_lower(5).entries[5][2] == 10
+        assert pascal_lower(5)[5, 2] == 10
 
     def test_inverse_sign_pattern(self):
         inv = pascal_inverse(3)
-        assert inv[3] == (-1, 3, -3, 1)
-        assert pascal_inverse(1) == ((1, 0), (-1, 1))
+        assert inv[3].tolist() == [-1, 3, -3, 1]
+        assert pascal_inverse(1).tolist() == [[1, 0], [-1, 1]]
 
     def test_product_is_exact_identity(self):
         for n in (0, 1, 6, 25, 60):
-            low = pascal_lower(n).entries
-            inv = pascal_inverse(n)
+            low = pascal_lower(n).tolist()
+            inv = pascal_inverse(n).tolist()
             m = n + 1
             for i in range(m):
                 for j in range(m):
@@ -261,31 +270,29 @@ class TestPascal:
 
 class TestBinomialGramInverse:
     def test_diagonal_values(self):
-        assert binomial_gram_inverse_exact(2)[0][0] == 3
-        assert binomial_gram_inverse_exact(3)[1][1] == 14
+        assert binomial_gram_inverse_exact(2)[0, 0] == 3
+        assert binomial_gram_inverse_exact(3)[1, 1] == 14
 
     def test_gram_is_pascal_product(self):
         """The kernel Gram over {0..n} factors through the Pascal triangle."""
         for n in (0, 3, 10, 25):
-            low = pascal_lower(n).entries
-            g = build_gram(
-                KernelSpec.binomial(), SampleSet.of([float(v) for v in range(n + 1)])
-            )
+            low = pascal_lower(n).tolist()
+            g = kernel_matrix(KernelSpec.binomial(), range(n + 1), range(n + 1))
             m = n + 1
             for i in range(m):
                 for j in range(m):
                     prod = sum(low[i][k] * low[j][k] for k in range(min(i, j) + 1))
-                    assert g.exact_entries[i][j] == prod
+                    assert g[i, j] == prod
 
     def test_inverse_identity_float(self):
         g = build_gram(KernelSpec.binomial(), SampleSet.of([0.0, 1.0, 2.0, 3.0, 4.0]))
-        product = binomial_gram_inverse(4) @ g.entries
+        product = binomial_gram_inverse(4) @ g
         assert np.max(np.abs(product - np.eye(5))) <= 1e-9
 
     def test_inverse_identity_exact(self):
         for n in (1, 5, 15):
-            inv = binomial_gram_inverse_exact(n)
-            low = pascal_lower(n).entries
+            inv = binomial_gram_inverse_exact(n).tolist()
+            low = pascal_lower(n).tolist()
             m = n + 1
             gram = [
                 [sum(low[i][k] * low[j][k] for k in range(m)) for j in range(m)]
@@ -295,3 +302,19 @@ class TestBinomialGramInverse:
                 for j in range(m):
                     got = sum(inv[i][k] * gram[k][j] for k in range(m))
                     assert got == (1 if i == j else 0)
+
+
+class TestExactForm:
+    def test_object_arrays_of_python_ints(self):
+        """Each exact matrix is an object ndarray whose elements are all int."""
+        for n in (0, 1, 5, 25, 60):
+            points = range(n + 1)
+            for m in (
+                kernel_matrix(KernelSpec.binomial(), points, points),
+                pascal_lower(n),
+                pascal_inverse(n),
+                binomial_gram_inverse_exact(n),
+            ):
+                assert type(m) is np.ndarray and m.dtype == object
+                assert m.shape == (n + 1, n + 1)
+                assert all(type(v) is int for v in m.flat)

@@ -44,9 +44,9 @@ GRID = np.linspace(0.0, 1.0, 9)
 CASES = {
     "binom-x": (lambda k: binom(k, 2), 5, None, None),
     "binom-n": (lambda k: binom(6, k), 2, None, None),
-    "pascal_lower": (pascal_lower, 5, 61, CapacityError),
-    "pascal_inverse": (pascal_inverse, 5, 61, CapacityError),
-    "binomial_gram_inverse_exact": (binomial_gram_inverse_exact, 4, 61, CapacityError),
+    "pascal_lower": (pascal_lower, 60, 61, CapacityError),
+    "pascal_inverse": (pascal_inverse, 60, 61, CapacityError),
+    "binomial_gram_inverse_exact": (binomial_gram_inverse_exact, 60, 61, CapacityError),
     "projection_norm_sequence-x_index": (
         lambda k: projection_norm_sequence(BM, V, k, 5), 2, 5, ValidationError),
     "projection_norm_sequence-n_max": (
@@ -86,8 +86,15 @@ def _same(a, b):
             and type(b.seed) is int
             and type(b.basis_depth) is int
         )
+    if isinstance(a, np.ndarray) and a.dtype == object:
+        # tobytes() of an object array holds pointers, not values.
+        return (
+            b.dtype == object
+            and a.tolist() == b.tolist()
+            and list(map(type, a.flat)) == list(map(type, b.flat))
+        )
     if isinstance(a, np.ndarray):
-        return a.tobytes() == b.tobytes()
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
     return a == b and type(a) is type(b)
 
 

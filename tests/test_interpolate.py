@@ -10,7 +10,6 @@ from pdsampling import (
     PiecewiseLinearFunction,
     SampleSet,
     ValidationError,
-    analysis,
     build_gram,
     cholesky_solve,
     cm_norm_sq,
@@ -106,7 +105,6 @@ class TestSawtoothWitness:
         w = sawtooth_witness(s)
         for p in s.points:
             assert w(p) == 0.0
-        np.testing.assert_array_equal(analysis(BM, s, w), np.zeros(20))
 
     def test_default_energy_is_basel_partial_sum(self):
         s = SampleSet.of([float(k) for k in range(1, 201)])
@@ -149,7 +147,7 @@ class TestRidge:
     def test_residual_decreases_with_alpha(self):
         s = SampleSet.of([1.0, 2.0])
         y = np.array([1.0, 1.0])
-        g = build_gram(BM, s).entries
+        g = build_gram(BM, s)
         residuals = []
         for alpha in (1e-2, 1e-4, 1e-6):
             c = np.asarray(ridge_interpolant(BM, s, y, alpha).coefficients)
@@ -183,7 +181,7 @@ class TestRidge:
             y = rng.standard_normal(n)
             spec = KernelSpec(kind)
             got = np.asarray(ridge_interpolant(spec, s, y, 0.0).coefficients)
-            want = cholesky_solve(build_gram(spec, s).entries, y)
+            want = cholesky_solve(build_gram(spec, s), y)
             assert got.tobytes() == want.tobytes()
 
 
@@ -219,7 +217,7 @@ class TestObstructionProbe:
             y0 = float(rng.standard_normal())
             res = obstruction_probe(BM, s, t0, y0, alpha=0.05)
             aug = SampleSet.of(sorted(s.points + (t0,)))
-            g = build_gram(BM, aug).entries
+            g = build_gram(BM, aug)
             c = np.asarray(res.minimizer.coefficients)
             rebuilt = (
                 math.fsum(w * r**2 for w, r in zip(res.weights, res.residuals_at_s))

@@ -30,7 +30,8 @@ from pdsampling import (
     parseval_defect,
     synthesis,
 )
-from pdsampling.kernels import BINOMIAL_CAPACITY, SINC_GUARD
+import pdsampling.kernels
+from pdsampling.kernels import BINOMIAL_CAPACITY, MAX_GRAM_ENTRIES, SINC_GUARD
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -142,12 +143,13 @@ class TestBlockAgreesWithScalar:
     def test_gram_is_bit_symmetric_and_rerun_identical(self, case):
         spec, pts = case
         g = build_gram(spec, SampleSet.of(pts))
-        assert _bits(g.entries) == _bits(g.entries.T)
-        assert _bits(g.entries) == _bits(build_gram(spec, SampleSet.of(pts)).entries)
+        assert _bits(g) == _bits(g.T)
+        assert _bits(g) == _bits(build_gram(spec, SampleSet.of(pts)))
         if spec.kind == "binomial":
-            exact = np.array(g.exact_entries, dtype=object)
-            assert (exact == exact.T).all()
-            assert all(type(v) is int for row in g.exact_entries for v in row)
+            exact = kernel_matrix(spec, pts, pts)
+            assert exact.tolist() == exact.T.tolist()
+            assert all(type(v) is int for v in exact.flat)
+            assert _bits(exact) == _bits(g)
 
     @PROPERTY
     @given(kernel_points(max_size=16), st.data())
@@ -216,6 +218,24 @@ class TestBinomialBlock:
             kernel_matrix(BINOMIAL, [0.0, 1.0], [0.0, float(BINOMIAL_CAPACITY)])
         with pytest.raises(CapacityError):
             build_gram(BINOMIAL, SampleSet.of([0.0, 5001.0]))
+
+    def test_entry_ceiling_decided_before_any_entry(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel block computed past the entry ceiling")
+
+        assert MAX_GRAM_ENTRIES == 2**24
+        monkeypatch.setattr(pdsampling.kernels, "kernel_values", refuse)
+        # Every x + y is within BINOMIAL_CAPACITY; only the entry count is too large.
+        with pytest.raises(CapacityError, match="5001 x 5001 kernel block"):
+            kernel_matrix(BINOMIAL, range(5001), range(5001))
+        with pytest.raises(CapacityError, match="4097 x 4096 kernel block"):
+            kernel_matrix(SINC, range(4097), range(4096))
+
+    def test_entry_ceiling_edge(self, monkeypatch):
+        monkeypatch.setattr(pdsampling.kernels, "MAX_GRAM_ENTRIES", 6)
+        assert kernel_matrix(BINOMIAL, [1, 2], [0, 1, 2]).tolist() == [[1, 2, 3], [1, 3, 6]]
+        with pytest.raises(CapacityError, match="ceiling 6"):
+            kernel_matrix(BINOMIAL, [1, 2], [0, 1, 2, 3])
 
     def test_value_at_capacity_is_exact_and_printable(self):
         half = BINOMIAL_CAPACITY // 2

@@ -257,7 +257,7 @@ class TestProbeReport:
     def test_binomial_0_40_truncates_at_first_rejected_prefix(self):
         """The float Gram is exact over 0..28 only; every kept entry is the exact sum."""
         s = SampleSet.of(list(range(41)))
-        entries = build_gram(BINOMIAL, s).entries
+        entries = build_gram(BINOMIAL, s)
         with pytest.raises(SingularMatrixError) as info:
             cholesky_factor(entries)
         j = info.value.pivot_index
@@ -308,7 +308,7 @@ class TestProbeReport:
         pts.insert(3, pts[2] + 1e-13)
         v = SampleSet.of(pts)
         with pytest.raises(SingularMatrixError) as want:
-            cholesky_factor(build_gram(BM, v).entries)
+            cholesky_factor(build_gram(BM, v))
         with pytest.raises(SingularMatrixError) as info:
             probe_report(BM, v, 10)
         assert info.value.pivot_index == 3
@@ -347,6 +347,6 @@ class TestDichotomy:
             x1, gap = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
             x2 = x1 + gap
             g = build_gram(BM, SampleSet.of([x1, x2]))
-            zeta = cholesky_solve(g.entries, np.array([1.0, 0.0]))
+            zeta = cholesky_solve(g, np.array([1.0, 0.0]))
             expected = np.array([x2 / (x1 * gap), -1.0 / gap])
             np.testing.assert_allclose(zeta, expected, rtol=1e-10)

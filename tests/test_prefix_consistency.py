@@ -69,7 +69,7 @@ def _close(got, want):
 @given(probe_cases())
 def test_prefix_factor_is_leading_block(case):
     spec, s = case
-    a = build_gram(spec, s).entries
+    a = build_gram(spec, s)
     full = cholesky_factor(a)
     for n in range(1, len(s) + 1):
         assert _bits(cholesky_factor(np.array(a[:n, :n]))) == _bits(full[:n, :n]), n
@@ -83,7 +83,7 @@ def test_singular_pivot_is_first_failing_prefix(case, data):
     pts = list(s.points)
     m = data.draw(st.integers(0, len(pts) - 1))
     pts.insert(m + 1, pts[m] + 1e-13 * max(1.0, abs(pts[m])))
-    a = build_gram(spec, SampleSet.of(pts)).entries
+    a = build_gram(spec, SampleSet.of(pts))
     with pytest.raises(SingularMatrixError) as info:
         cholesky_factor(a)
     j = info.value.pivot_index
@@ -117,7 +117,7 @@ def test_failed_pass_hands_back_the_longest_prefix_factor(case, data):
     pts = list(s.points)
     m = data.draw(st.integers(0, len(pts) - 1))
     pts.insert(m + 1, pts[m] + 1e-13 * max(1.0, abs(pts[m])))
-    a = build_gram(spec, SampleSet.of(pts)).entries
+    a = build_gram(spec, SampleSet.of(pts))
     _assert_prefix_handed_back(a)
     full, error = _factor_prefix(a[: m + 1, : m + 1])
     assert error is None
@@ -125,7 +125,7 @@ def test_failed_pass_hands_back_the_longest_prefix_factor(case, data):
 
 
 def test_failed_pass_hands_back_binomial_and_below_floor_prefixes():
-    _assert_prefix_handed_back(build_gram(KernelSpec.binomial(), SampleSet.of(range(41))).entries)
+    _assert_prefix_handed_back(build_gram(KernelSpec.binomial(), SampleSet.of(range(41))))
     idx = np.arange(70.0)
     for j in (0, 32, 65):
         a = np.minimum.outer(idx, idx) + 1.0
@@ -135,7 +135,7 @@ def test_failed_pass_hands_back_binomial_and_below_floor_prefixes():
 
 def _jittered_gram(kind: str, n: int, seed: int) -> np.ndarray:
     offsets = np.random.default_rng(seed).uniform(-JITTER, JITTER, n)
-    return build_gram(KernelSpec(kind), SampleSet.of(_points(kind, offsets))).entries
+    return build_gram(KernelSpec(kind), SampleSet.of(_points(kind, offsets)))
 
 
 @pytest.mark.parametrize("kind", ["brownian", "bridge", "sinc"])
@@ -170,7 +170,7 @@ def test_near_duplicate_in_later_block_fails_at_next_index(kind, m):
     offsets = np.random.default_rng(m).uniform(-JITTER, JITTER, 100)
     pts = _points(kind, offsets)
     pts.insert(m + 1, pts[m] + 1e-13 * max(1.0, abs(pts[m])))
-    a = build_gram(KernelSpec(kind), SampleSet.of(pts)).entries
+    a = build_gram(KernelSpec(kind), SampleSet.of(pts))
     for n in range(m + 2, len(pts) + 1):
         with pytest.raises(SingularMatrixError) as info:
             cholesky_factor(np.array(a[:n, :n]))
@@ -185,7 +185,7 @@ def test_projection_sequence_matches_per_prefix_solves(case, data):
     n_max = len(s)
     x = data.draw(st.integers(0, n_max - 1))
     norms = projection_norm_sequence(spec, s, x, n_max)
-    a = build_gram(spec, s).entries
+    a = build_gram(spec, s)
     want = []
     for n in range(1, n_max + 1):
         if n <= x:
@@ -206,7 +206,7 @@ def test_membership_sequence_matches_per_prefix_solves(case, data):
     n_max = len(s)
     f = np.asarray(data.draw(st.lists(st.floats(0.5, 2.0), min_size=n_max, max_size=n_max)))
     seq = membership_probe(spec, s, f, n_max)
-    a = build_gram(spec, s).entries
+    a = build_gram(spec, s)
     want = [float(f[:n] @ cholesky_solve(a[:n, :n], f[:n])) for n in range(1, n_max + 1)]
     _close(seq, want)
     assert all(q >= p for p, q in zip(seq, seq[1:]))
