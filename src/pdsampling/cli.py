@@ -38,7 +38,7 @@ import warnings
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError, check_int
-from .frames import _integer_range, parseval_defect, synthesis
+from .frames import _integer_range, frame_bounds_truncated, parseval_defect, synthesis
 from .gram import build_gram, det_bridge_closed, det_brownian_closed, det_lu
 from .interpolate import _ridge_fit, obstruction_probe, spline_interpolant
 from .kernels import KernelSpec, SampleSet, eval_kernel, kernel_values, parse_kernel
@@ -230,9 +230,8 @@ def _cmd_frame_check(args) -> int:
         points = parse_point_text(args.points)
     grid = parse_point_text(args.grid)
     s = SampleSet.of(points)
-    report = parseval_defect(
-        spec, s, grid, tail_budget=args.tail_budget, include_bounds=args.bounds
-    )
+    report = parseval_defect(spec, s, grid, tail_budget=args.tail_budget)
+    a, b = frame_bounds_truncated(spec, s) if args.bounds else (None, None)
     # "N" is the radius when the samples are exactly the integers of [-N, N],
     # otherwise the sample count.
     span = _integer_range(s)
@@ -246,12 +245,12 @@ def _cmd_frame_check(args) -> int:
         "bounds": args.bounds,
     }
     payload = {
-        "a": report.lower_bound,
-        "b": report.upper_bound,
+        "a": a,
+        "b": b,
         "defect": report.parseval_defect,
         "tail_bound": report.tail_bound,
         "N": span[1] if symmetric else len(s),
-        "grid": list(report.probe_grid),
+        "grid": grid,
     }
     return _report(args, "json", fields, payload)
 
@@ -348,7 +347,7 @@ def _cmd_obstruct(args) -> int:
         "minimizer_coefficients": list(result.minimizer.coefficients),
         "residuals_at_S": list(result.residuals_at_s),
         "value_at_t0": result.value_at_t0,
-        "alpha": result.alpha,
+        "alpha": args.alpha,
         "weights": list(result.weights),
     }
     return _report(args, "json", fields, payload)
@@ -369,9 +368,9 @@ def _cmd_mass_probe(args) -> int:
     if report.verdict.limit is not None:
         verdict["limit"] = report.verdict.limit
     payload = {
-        "kernel": report.kernel.to_text(),
-        "V_prefix": list(report.v_prefix.points),
-        "target_index": report.target_index,
+        "kernel": spec.to_text(),
+        "V_prefix": points[:n_max],
+        "target_index": target,
         "norms": list(report.norms),
         "verdict": verdict,
         "closed_form": report.closed_form,

@@ -5,7 +5,10 @@ sends coefficients to a kernel combination.  Over a finite sample set the
 frame bounds of the sampled system are the extreme eigenvalue reciprocals of
 the Gram matrix, and for integer sinc sampling the diagonal reproducing
 identity K(t,t) = sum_s K(t,s)^2 holds exactly in the infinite limit, so its
-truncated defect is a quality measure with an explicit tail bound.
+truncated defect is a quality measure with an explicit tail bound.  Each
+answer has one route: frame_bounds_truncated for the bounds, parseval_defect
+for the defect, and interpolate.ridge_interpolant with alpha = 0 for the
+interpolating coefficients G^-1 f|_S.
 """
 
 import math
@@ -14,25 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, SingularMatrixError, ValidationError
-from .gram import build_gram, cholesky_factor, cholesky_solve
+from .gram import build_gram, cholesky_factor
 from .kernels import MAX_GRAM_ENTRIES, KernelSpec, SampleSet, check_domain, kernel_values
 
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Frame diagnostics for one kernel/sample-set pair over a probe grid.
+    """Diagonal-defect diagnostics for one kernel/sample-set pair over a probe grid.
 
-    lower_bound/upper_bound are the truncated frame constants (None when the
-    caller skipped the eigenvalue pass), parseval_defect the worst diagonal
-    reproducing-identity defect over the grid, and tail_bound the analytic
-    truncation tail, available only for sinc sampling on integers.
+    parseval_defect is the worst diagonal reproducing-identity defect over
+    the grid, and tail_bound the analytic truncation tail, available only
+    for sinc sampling on integers.  The frame bounds have their own route,
+    frame_bounds_truncated.
     """
 
-    lower_bound: float | None
-    upper_bound: float | None
     parseval_defect: float
-    truncation: SampleSet
-    probe_grid: tuple[float, ...]
     tail_bound: float | None = None
 
 
@@ -79,9 +78,18 @@ def synthesis(spec: KernelSpec, s: SampleSet, coefficients) -> CoefficientFuncti
     return CoefficientFunction(spec, s, coefficients)
 
 
-def _bounds_of(gram: np.ndarray) -> tuple[float, float]:
-    # The factorization is the package-wide singularity gate (pivot floor,
-    # index payload); run it before the eigensolve.
+def frame_bounds_truncated(spec: KernelSpec, s: SampleSet) -> tuple[float, float]:
+    """(a, b) with a |f|_samples^2 <= |f|^2 <= b |f|_samples^2 on the span.
+
+    a = 1/lambda_max(G) and b = 1/lambda_min(G) over the truncated span:
+    with f = sum c_s K(., s), the two quadratic forms are c'Gc and c'G^2c,
+    and these are the extreme Rayleigh-quotient ratios.  The factorization,
+    the package-wide singularity gate (pivot floor, index payload), runs
+    before the eigensolve.  A non-positive smallest eigenvalue means the
+    sampled system is degenerate and there is no finite upper bound,
+    reported as a singular-matrix failure.
+    """
+    gram = build_gram(spec, s)
     cholesky_factor(gram)
     eigs = np.linalg.eigvalsh(gram)
     lo, hi = float(eigs[0]), float(eigs[-1])
@@ -90,18 +98,6 @@ def _bounds_of(gram: np.ndarray) -> tuple[float, float]:
             f"Gram matrix has non-positive eigenvalue {lo:.3e}; frame bounds undefined"
         )
     return 1.0 / hi, 1.0 / lo
-
-
-def frame_bounds_truncated(spec: KernelSpec, s: SampleSet) -> tuple[float, float]:
-    """(a, b) with a |f|_samples^2 <= |f|^2 <= b |f|_samples^2 on the span.
-
-    a = 1/lambda_max(G) and b = 1/lambda_min(G) over the truncated span:
-    with f = sum c_s K(., s), the two quadratic forms are c'Gc and c'G^2c,
-    and these are the extreme Rayleigh-quotient ratios.  A non-positive
-    smallest eigenvalue means the sampled system is degenerate and there is
-    no finite upper bound, reported as a singular-matrix failure.
-    """
-    return _bounds_of(build_gram(spec, s))
 
 
 def _integer_range(s: SampleSet) -> tuple[int, int] | None:
@@ -134,7 +130,6 @@ def parseval_defect(
     s: SampleSet,
     grid,
     tail_budget: float | None = None,
-    include_bounds: bool = False,
 ) -> FrameReport:
     """Worst diagonal reproducing-identity defect of the truncated system.
 
@@ -143,10 +138,9 @@ def parseval_defect(
     row sum is numpy's pairwise sum, fixed for a given input.  For integer
     sinc sampling the analytic tail bound is attached; when tail_budget is
     given, it must be finite and non-negative, and a tail bound above it is
-    rejected.  The eigenvalue-based frame bounds run only when
-    include_bounds is set, since they cost a dense symmetric eigensolve.
-    A block of more than MAX_GRAM_ENTRIES entries raises CapacityError
-    before it is built.
+    rejected.  A block of more than MAX_GRAM_ENTRIES entries raises
+    CapacityError before it is built.  The frame bounds are
+    frame_bounds_truncated's.
     """
     grid = [float(t) for t in grid]
     if not grid:
@@ -174,25 +168,4 @@ def parseval_defect(
             raise ValidationError(
                 f"truncation tail bound {tail:.3e} exceeds budget {tail_budget:.3e}"
             )
-    lower = upper = None
-    if include_bounds:
-        lower, upper = _bounds_of(build_gram(spec, s))
-    return FrameReport(
-        lower_bound=lower,
-        upper_bound=upper,
-        parseval_defect=defect,
-        truncation=s,
-        probe_grid=tuple(grid),
-        tail_bound=tail,
-    )
-
-
-def dual_frame_coefficients(spec: KernelSpec, s: SampleSet, samples) -> CoefficientFunction:
-    """Interpolating kernel combination: synthesis of G^{-1} samples.
-
-    Evaluating the result at each sample point reproduces the input samples
-    (to solver accuracy), since the sample map composed with synthesis acts
-    as the Gram matrix on coefficients.
-    """
-    c = cholesky_solve(build_gram(spec, s), samples)
-    return synthesis(spec, s, c)
+    return FrameReport(parseval_defect=defect, tail_bound=tail)

@@ -81,15 +81,6 @@ def build_gram(spec: KernelSpec, s: SampleSet) -> np.ndarray:
     return entries
 
 
-def check_positive_definite(spec: KernelSpec, s: SampleSet, tol: float):
-    """Smallest Gram eigenvalue over s and the flag (min_eigenvalue >= -tol).
-
-    Pure diagnostic on the entries of build_gram; nothing is cached.
-    """
-    min_eig = float(np.linalg.eigvalsh(build_gram(spec, s))[0])
-    return (min_eig >= -tol, min_eig)
-
-
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = a, or SingularMatrixError.
 

@@ -176,7 +176,8 @@ def ridge_interpolant(
     """Kernel ridge coefficients: solve (alpha W^-1 + G) c = y.
 
     W = diag(weights), all-ones by default.  alpha = 0 gives exact
-    interpolation: the same solve, with a zero diagonal added.
+    interpolation, c = G^-1 y, the package's one route to the interpolating
+    coefficients: the same solve, with a zero diagonal added.
     """
     c, _, _ = _ridge_fit(spec, s, y, alpha, weights)
     return CoefficientFunction(spec, s, tuple(float(v) for v in c))
@@ -197,7 +198,6 @@ class ObstructionProbeResult:
     minimizer: CoefficientFunction
     residuals_at_s: tuple[float, ...]
     value_at_t0: float
-    alpha: float
     weights: tuple[float, ...]
 
 
@@ -239,6 +239,5 @@ def obstruction_probe(
         minimizer=minimizer,
         residuals_at_s=residuals,
         value_at_t0=value_at_t0,
-        alpha=alpha,
         weights=w,
     )

@@ -216,8 +216,7 @@ class SampleSet:
         return len(self.points)
 
     def prefix(self, n: int) -> "SampleSet":
-        if not 1 <= n <= len(self.points):
-            raise ValidationError(f"prefix length {n} outside 1..{len(self.points)}")
+        n = check_int("prefix length", n, 1, len(self.points) + 1)
         return SampleSet(self.points[:n])
 
 
@@ -339,10 +338,14 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 
     float64 for the continuous and tabulated kernels, an object array of
     exact Python ints for the binomial kernel: the package's one exact form
-    of the binomial Gram.  Both point sequences are checked against the
-    kernel's domain first, xs before ys; a block of more than
-    MAX_GRAM_ENTRIES entries then raises CapacityError before any is computed.
+    of the binomial Gram.  xs and ys must each be one-dimensional, or
+    ValidationError names the one that is not; both are then checked against
+    the kernel's domain, xs before ys, and a block of more than
+    MAX_GRAM_ENTRIES entries raises CapacityError before any is computed.
     """
+    for name, points in (("xs", xs), ("ys", ys)):
+        if np.ndim(points) != 1:
+            raise ValidationError(f"{name} must be 1-D points, got shape {np.shape(points)}")
     a = check_domain(spec, xs)
     b = check_domain(spec, ys)
     if a.size * b.size > MAX_GRAM_ENTRIES:

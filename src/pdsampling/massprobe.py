@@ -62,9 +62,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class MassProbeReport:
-    kernel: KernelSpec
-    v_prefix: SampleSet
-    target_index: int
+    """A probe's norm sequence, its verdict and the closed-form oracle, if any."""
+
     norms: tuple[float, ...]
     verdict: Verdict
     closed_form: float | None
@@ -255,11 +254,4 @@ def probe_report(
         verdict = mass_verdict(norms, closed_form=closed)
     else:
         verdict = Verdict(kind="diverging")
-    return MassProbeReport(
-        kernel=spec,
-        v_prefix=vp,
-        target_index=x,
-        norms=tuple(norms),
-        verdict=verdict,
-        closed_form=closed,
-    )
+    return MassProbeReport(norms=tuple(norms), verdict=verdict, closed_form=closed)

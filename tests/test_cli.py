@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -1194,6 +1195,21 @@ class TestOutputRouting:
 
     def test_missing_subcommand_exits_one(self, capsys):
         assert run(capsys, )[0] == 1
+
+
+README_EXAMPLES = [
+    line
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("pdsampling ")
+]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("line", README_EXAMPLES, ids=README_EXAMPLES)
+    def test_example_writes_one_report(self, line, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = shlex.split(line)[1:]
+        assert run_json(capsys, *argv)["config"]["command"] == argv[0]
 
 
 class TestConsoleScript:

@@ -12,10 +12,10 @@ from pdsampling import (
     SingularMatrixError,
     ValidationError,
     build_gram,
-    dual_frame_coefficients,
     eval_kernel,
     frame_bounds_truncated,
     parseval_defect,
+    ridge_interpolant,
     sinc_pi,
     synthesis,
 )
@@ -45,7 +45,7 @@ class TestAnalysis:
 
     def test_zero_function(self):
         s = SampleSet.of([1.0, 2.0, 3.0])
-        f = dual_frame_coefficients(BM, s, [0.0, 0.0, 0.0])
+        f = ridge_interpolant(BM, s, [0.0, 0.0, 0.0], 0.0)
         assert f.coefficients == (0.0, 0.0, 0.0)
         np.testing.assert_array_equal(sample_map(f, s), np.zeros(3))
 
@@ -186,18 +186,6 @@ class TestParsevalDefect:
         with pytest.raises(ValidationError):
             parseval_defect(SINC, s, [0.5], tail_budget=0.1)
 
-    def test_truncation_field_holds_sample_set(self):
-        s = integer_nodes(5)
-        rep = parseval_defect(SINC, s, [0.25])
-        assert rep.truncation is s
-
-    def test_bounds_off_by_default(self):
-        rep = parseval_defect(SINC, integer_nodes(5), [0.25])
-        assert rep.lower_bound is None and rep.upper_bound is None
-        rep = parseval_defect(SINC, integer_nodes(5), [0.25], include_bounds=True)
-        assert abs(rep.lower_bound - 1.0) <= 1e-12
-        assert abs(rep.upper_bound - 1.0) <= 1e-12
-
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             parseval_defect(SINC, integer_nodes(5), [])
@@ -235,13 +223,13 @@ class TestReconstruct:
 
 class TestDualFrame:
     def test_two_point_interpolation(self):
-        f = dual_frame_coefficients(BM, SampleSet.of([1.0, 2.0]), [1.0, 1.0])
+        f = ridge_interpolant(BM, SampleSet.of([1.0, 2.0]), [1.0, 1.0], 0.0)
         np.testing.assert_allclose(f.coefficients, [1.0, 0.0], atol=1e-14)
 
     def test_identity_gram_passthrough(self):
         s = integer_nodes(3)
         y = [0.5, -1.0, 2.0, 0.0, 3.0, 1.0, -2.0]
-        f = dual_frame_coefficients(SINC, s, y)
+        f = ridge_interpolant(SINC, s, y, 0.0)
         np.testing.assert_array_equal(f.coefficients, y)
 
     def test_round_trip_through_gram(self):
@@ -250,7 +238,7 @@ class TestDualFrame:
         s = SampleSet.of(pts.tolist())
         g = build_gram(BM, s)
         c = rng.standard_normal(10)
-        f = dual_frame_coefficients(BM, s, g @ c)
+        f = ridge_interpolant(BM, s, g @ c, 0.0)
         np.testing.assert_allclose(f.coefficients, c, atol=1e-9)
 
     def test_interpolates_samples(self):
@@ -258,7 +246,7 @@ class TestDualFrame:
         pts = np.sort(rng.uniform(0.5, 6.0, 7))
         s = SampleSet.of(pts.tolist())
         y = rng.standard_normal(7)
-        f = dual_frame_coefficients(BM, s, y)
+        f = ridge_interpolant(BM, s, y, 0.0)
         for p, target in zip(s.points, y):
             assert abs(f(p) - target) <= 1e-9 * max(1.0, abs(target))
 

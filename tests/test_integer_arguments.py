@@ -72,6 +72,7 @@ CASES = {
     "simulate_bridge-basis_depth": (
         lambda k: simulate_bridge(GRID, 5, k, 1), 3, 24, CapacityError),
     "simulate_bridge-seed": (lambda k: simulate_bridge(GRID, 5, 3, k), 1, None, None),
+    "SampleSet.prefix": (lambda k: V.prefix(k), 2, 7, ValidationError),
     "haar_antiderivative_matrix": (
         lambda k: haar_antiderivative_matrix(GRID, k), 3, 24, CapacityError),
 }

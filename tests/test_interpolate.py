@@ -215,14 +215,15 @@ class TestObstructionProbe:
             s = SampleSet.of(pts.tolist())
             t0 = float(rng.uniform(6.5, 8.0))
             y0 = float(rng.standard_normal())
-            res = obstruction_probe(BM, s, t0, y0, alpha=0.05)
+            alpha = 0.05
+            res = obstruction_probe(BM, s, t0, y0, alpha=alpha)
             aug = SampleSet.of(sorted(s.points + (t0,)))
             g = build_gram(BM, aug)
             c = np.asarray(res.minimizer.coefficients)
             rebuilt = (
                 math.fsum(w * r**2 for w, r in zip(res.weights, res.residuals_at_s))
                 + (res.value_at_t0 - y0) ** 2
-                + res.alpha * float(c @ g @ c)
+                + alpha * float(c @ g @ c)
             )
             assert abs(rebuilt - res.minimum_value) <= 1e-9 * max(
                 1.0, abs(res.minimum_value)

@@ -193,6 +193,25 @@ class TestDomainMessages:
                 eval_kernel(spec, good[0], first)
             assert str(pair.value) == str(scalar.value)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: kernel_matrix(BM, 1.0, [1.0, 2.0]), "xs"),
+            (lambda: kernel_matrix(BM, [[1.0, 2.0]], [2.0]), "xs"),
+            (lambda: kernel_matrix(BM, [1.0], [[-1.0, 2.0]]), "ys"),
+            (lambda: eval_kernel(BM, [1.0, 2.0], 3.0), "xs"),
+            (lambda: eval_kernel(BM, 1.0, [2.0, 3.0]), "ys"),
+        ],
+        ids=["scalar-xs", "2d-xs", "2d-ys-out-of-domain", "eval-vector-s", "eval-vector-t"],
+    )
+    def test_points_must_be_one_dimensional(self, call, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel value computed for points of the wrong shape")
+
+        monkeypatch.setattr(pdsampling.kernels, "kernel_values", refuse)
+        with pytest.raises(ValidationError, match=f"^{name} must be 1-D points"):
+            call()
+
     def test_off_table_point_in_parseval_sum(self):
         with pytest.raises(DomainError, match="not in the tabulated point set"):
             parseval_defect(TABULATED, SampleSet.of([0.0, 0.3]), [0.25])

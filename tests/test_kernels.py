@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pdsampling import (
-    CapacityError,
     DomainError,
     KernelSpec,
     PiecewiseLinearFunction,
@@ -16,7 +15,6 @@ from pdsampling import (
     ValidationError,
     binom,
     check_domain,
-    check_positive_definite,
     eval_kernel,
     kernel_matrix,
     parse_kernel,
@@ -202,34 +200,6 @@ class TestCheckIncreasing:
     def test_every_sequence_rejects(self, make, points, words):
         with pytest.raises(ValidationError, match=re.escape(words)):
             make(points)
-
-
-class TestCheckPositiveDefinite:
-    def test_brownian_small_set(self):
-        flag, mineig = check_positive_definite(
-            KernelSpec.brownian(), SampleSet.of([1.0, 2.0, 3.0]), 1e-10
-        )
-        assert flag
-        assert mineig > 0
-
-    def test_sinc_integers_identity(self):
-        flag, mineig = check_positive_definite(
-            KernelSpec.sinc(), SampleSet.of([0.0, 1.0, 2.0]), 1e-10
-        )
-        assert flag
-        assert mineig == 1.0
-
-    def test_indefinite_table_flagged(self):
-        # [[1,2],[2,1]] has eigenvalues 3 and -1
-        table = TabulatedTable(points=(0.0, 1.0), values=((1.0, 2.0), (2.0, 1.0)))
-        spec = KernelSpec.tabulated(table)
-        flag, mineig = check_positive_definite(spec, SampleSet.of([0.0, 1.0]), 1e-10)
-        assert not flag
-        assert abs(mineig + 1.0) < 1e-12
-
-    def test_binomial_past_double_range_is_capacity(self):
-        with pytest.raises(CapacityError):
-            check_positive_definite(KernelSpec.binomial(), SampleSet.of(range(600)), 1e-9)
 
 
 class TestCheckDomain:
